@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race diff torture chaos fed serve coverage-floor bench bench-recovery bench-fed bench-serve fuzz-smoke ci
+.PHONY: build test test-short race diff torture chaos fed serve coverage-floor bench bench-check bench-recovery bench-fed bench-serve fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -71,6 +71,12 @@ bench:
 	scripts/bench-json.sh 5x > BENCH_runtime.json
 	@cat BENCH_runtime.json
 
+# Vet and test the benchmark module (perfbench/, a nested module that
+# ./... does not reach) against this checkout, so an internal API
+# change cannot break the benchmark unnoticed. Nothing is downloaded.
+bench-check:
+	cd perfbench && GOPROXY=off GOFLAGS=-mod=mod $(GO) vet ./... && GOPROXY=off GOFLAGS=-mod=mod $(GO) test ./...
+
 # Regenerate the committed recovery-time-vs-log-length baseline.
 bench-recovery:
 	scripts/bench-recovery.sh > BENCH_recovery.json
@@ -96,4 +102,4 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzFreeSpaceMap -fuzztime 30s -run '^$$' ./internal/store
 	$(GO) test -fuzz FuzzWireDecode -fuzztime 30s -run '^$$' ./internal/federation
 
-ci: build test race diff torture chaos fed serve coverage-floor
+ci: build test bench-check race diff torture chaos fed serve coverage-floor

@@ -12,15 +12,13 @@ import (
 	"transproc/internal/fault"
 	"transproc/internal/federation"
 	"transproc/internal/process"
-	"transproc/internal/scheduler/policy"
 	"transproc/internal/workload"
 )
 
 // runFed implements "tpsim fed": a multi-node federated run as a
 // command.
 //
-//	tpsim fed [-nodes N] [-procs P] [-seed S] [-mode pred|pred-cascade]
-//	          [-lease D] [-heartbeat D]
+//	tpsim fed [-nodes N] [-procs P] [-seed S] [-lease D] [-heartbeat D]
 //	tpsim fed -torture [-seeds N] [-first S] [-fedseed K] [-json]
 //	tpsim fed -hubtorture [-seeds N] [-first S] [-hubseed K] [-json]
 //	tpsim fed -bench [-procs P] [-seed S] [-reps R] [-json]
@@ -47,7 +45,6 @@ func runFed(args []string) error {
 	nodes := fs.Int("nodes", 2, "scheduler node count")
 	procs := fs.Int("procs", 24, "process count")
 	seed := fs.Int64("seed", 1, "workload seed")
-	mode := fs.String("mode", "pred", "scheduling mode: pred or pred-cascade")
 	lease := fs.Duration("lease", 0, "lease TTL for membership (0 = explicit death reports)")
 	heartbeat := fs.Duration("heartbeat", 0, "node heartbeat interval (default lease/4 when -lease is set)")
 	torture := fs.Bool("torture", false, "run the federation-torture battery")
@@ -77,15 +74,7 @@ func runFed(args []string) error {
 		return runFedBenchHub(*procs, *seed, *reps, *asJSON)
 	}
 
-	m := policy.PRED
-	switch *mode {
-	case "pred":
-	case "pred-cascade":
-		m = policy.PREDCascade
-	default:
-		return fmt.Errorf("unknown mode %q (pred, pred-cascade)", *mode)
-	}
-	res, elapsed, err := fedRunLease(*procs, *seed, *nodes, m, *lease, *heartbeat)
+	res, elapsed, err := fedRunLease(*procs, *seed, *nodes, *lease, *heartbeat)
 	if err != nil {
 		return err
 	}
@@ -104,13 +93,13 @@ func runFed(args []string) error {
 
 // fedRun executes one federated workload and verifies the stitched
 // schedule, returning the run result and wall-clock duration.
-func fedRun(procs int, seed int64, nodes int, mode policy.Mode) (*federation.RunResult, time.Duration, error) {
-	return fedRunLease(procs, seed, nodes, mode, 0, 0)
+func fedRun(procs int, seed int64, nodes int) (*federation.RunResult, time.Duration, error) {
+	return fedRunLease(procs, seed, nodes, 0, 0)
 }
 
 // fedRunLease is fedRun with lease-based membership enabled when
 // lease > 0 (heartbeat defaults to lease/4).
-func fedRunLease(procs int, seed int64, nodes int, mode policy.Mode, lease, heartbeat time.Duration) (*federation.RunResult, time.Duration, error) {
+func fedRunLease(procs int, seed int64, nodes int, lease, heartbeat time.Duration) (*federation.RunResult, time.Duration, error) {
 	p := workload.DefaultProfile(seed)
 	p.Processes = procs
 	p.ConflictProb = 0.4
@@ -128,7 +117,7 @@ func fedRunLease(procs int, seed int64, nodes int, mode policy.Mode, lease, hear
 		heartbeat = lease / 4
 	}
 	c, err := federation.NewCluster(w.Fed, defs, federation.Config{
-		Nodes: nodes, Mode: mode, MaxRestarts: 8,
+		Nodes: nodes, MaxRestarts: 8,
 		LeaseTTL: lease, HeartbeatEvery: heartbeat,
 	})
 	if err != nil {
@@ -171,8 +160,8 @@ func fedRunLease(procs int, seed int64, nodes int, mode policy.Mode, lease, hear
 func runFedTortureCmd(first, seeds, one int64, asJSON bool) error {
 	if one >= 0 {
 		sc := federation.FedScenarioFor(one)
-		fmt.Printf("seed %d: class=%s mode=%v nodes=%d crash={node %d, %q, count %d} wire=%+v\n",
-			sc.Seed, sc.Class, sc.Mode, sc.Nodes, sc.CrashNode, sc.CrashPoint, sc.CrashCount, sc.Wire)
+		fmt.Printf("seed %d: class=%s nodes=%d crash={node %d, %q, count %d} wire=%+v\n",
+			sc.Seed, sc.Class, sc.Nodes, sc.CrashNode, sc.CrashPoint, sc.CrashCount, sc.Wire)
 		alt, err := federation.RunFedScenario(sc)
 		if err != nil {
 			return err
@@ -213,8 +202,8 @@ func runFedTortureCmd(first, seeds, one int64, asJSON bool) error {
 func runHubTortureCmd(first, seeds, one int64, asJSON bool) error {
 	if one >= 0 {
 		sc := federation.HubScenarioFor(one)
-		fmt.Printf("seed %d: class=%s mode=%v nodes=%d hub={%q, count %d} crash={node %d, %q, count %d} lease=%s wire=%+v\n",
-			sc.Seed, sc.Class, sc.Mode, sc.Nodes, sc.HubPoint, sc.HubCount,
+		fmt.Printf("seed %d: class=%s nodes=%d hub={%q, count %d} crash={node %d, %q, count %d} lease=%s wire=%+v\n",
+			sc.Seed, sc.Class, sc.Nodes, sc.HubPoint, sc.HubCount,
 			sc.CrashNode, sc.CrashPoint, sc.CrashCount, sc.LeaseTTL, sc.Wire)
 		st, err := federation.RunHubScenario(sc)
 		if err != nil {
@@ -344,7 +333,7 @@ func fedHubBenchRun(procs int, seed int64, nodes int) (mttr, elapsed time.Durati
 	var down time.Time
 	var downtime time.Duration
 	c, err := federation.NewCluster(w.Fed, defs, federation.Config{
-		Nodes: nodes, Mode: policy.PRED, MaxRestarts: 8,
+		Nodes: nodes, MaxRestarts: 8,
 		LeaseTTL: 200 * time.Millisecond, HeartbeatEvery: 20 * time.Millisecond,
 		HubKill: federation.CrashSpec{Point: fault.PointHubDispatch, Count: 3},
 		OnHubDown: func() {
@@ -387,7 +376,7 @@ func runFedBench(procs int, seed int64, reps int, asJSON bool) error {
 	for _, nodes := range []int{1, 2, 4} {
 		var total time.Duration
 		for r := 0; r < reps; r++ {
-			_, elapsed, err := fedRun(procs, seed+int64(r), nodes, policy.PRED)
+			_, elapsed, err := fedRun(procs, seed+int64(r), nodes)
 			if err != nil {
 				return fmt.Errorf("nodes=%d rep=%d: %w", nodes, r, err)
 			}

@@ -15,7 +15,6 @@ import (
 	"syscall"
 	"time"
 
-	"transproc/internal/scheduler"
 	"transproc/internal/serve"
 	"transproc/internal/spec"
 	"transproc/internal/subsystem"
@@ -26,7 +25,7 @@ import (
 // and its two seeded harnesses.
 //
 //	tpsim serve [-addr :8080] [-dir serve-data] [-world spec.json]
-//	            [-mode pred|pred-cascade] [-fed N] [-lease D] [-heartbeat D]
+//	            [-fed N] [-lease D] [-heartbeat D]
 //	            [-queue N] [-batch N] [-tick D] [-drain D] [-ckpt N]
 //	            [-compact] [-nosync] [-rate R] [-burst B] [-retries N]
 //	tpsim serve -torture [-seeds N] [-first S] [-seed K] [-json]
@@ -49,7 +48,6 @@ func runServe(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	dir := fs.String("dir", "serve-data", "data directory (wal.log + intake.journal)")
 	world := fs.String("world", "", "spec file declaring the subsystem federation (default: built-in demo world)")
-	mode := fs.String("mode", "pred", "scheduling mode: pred or pred-cascade")
 	fed := fs.Int("fed", 0, "route batches through an N-node federation cluster (0 = in-process runtime)")
 	lease := fs.Duration("lease", 0, "federation: lease TTL for hub membership (0 = explicit death reports; /readyz degrades while the hub is unreachable)")
 	heartbeat := fs.Duration("heartbeat", 0, "federation: node heartbeat interval (default lease/4 when -lease is set)")
@@ -82,15 +80,6 @@ func runServe(args []string) error {
 		return runServeBench(*clients, *dur, *asJSON)
 	}
 
-	m := scheduler.PRED
-	switch *mode {
-	case "pred":
-	case "pred-cascade":
-		m = scheduler.PREDCascade
-	default:
-		return fmt.Errorf("unknown mode %q (pred, pred-cascade)", *mode)
-	}
-
 	fedr, err := serveWorldFromFlag(*world)
 	if err != nil {
 		return err
@@ -102,7 +91,7 @@ func runServe(args []string) error {
 		*heartbeat = *lease / 4
 	}
 	cfg := serve.Config{
-		Dir: *dir, Mode: m, FedNodes: *fed,
+		Dir: *dir, FedNodes: *fed,
 		FedLeaseTTL: *lease, FedHeartbeat: *heartbeat,
 		QueueDepth: *queue, BatchMax: *batch, Tick: *tick,
 		DrainTimeout: *drain, CheckpointEvery: *ckpt,
@@ -122,7 +111,7 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("serve: listening on %s (dir=%s mode=%s queue=%d batch=%d", bound, *dir, *mode, *queue, *batch)
+	fmt.Printf("serve: listening on %s (dir=%s queue=%d batch=%d", bound, *dir, *queue, *batch)
 	if *fed > 0 {
 		fmt.Printf(" fed=%d nodes", *fed)
 	}
@@ -192,8 +181,8 @@ func runServeTorture(first, seeds, one int64, asJSON bool) error {
 
 	if one >= 0 {
 		sc := serve.ScenarioFor(one)
-		fmt.Printf("seed %d: class=%s mode=%v procs=%d tenants=%d ckptEvery=%d compact=%v group=%+v plan=%+v rerunBudget=%d\n",
-			sc.Seed, sc.Class, sc.Mode, sc.Procs, sc.Tenants, sc.CheckpointEvery,
+		fmt.Printf("seed %d: class=%s procs=%d tenants=%d ckptEvery=%d compact=%v group=%+v plan=%+v rerunBudget=%d\n",
+			sc.Seed, sc.Class, sc.Procs, sc.Tenants, sc.CheckpointEvery,
 			sc.CompactOnCheckpoint, sc.GroupCommit, sc.Plan, sc.RerunBudget)
 		if err := serve.RunScenario(sc, filepath.Join(root, "seed")); err != nil {
 			return err

@@ -106,6 +106,9 @@ func ScenarioFor(seed int64) Scenario {
 		sc.Plan.PDuplicate = 0.08
 		sc.CrashAfterWAL = 5 + rng.Intn(120)
 	}
+	if sc.Engine == "runtime" {
+		sc.Mode = scheduler.PRED // cascading aborts run on the sequential engine only
+	}
 	return sc
 }
 

@@ -270,6 +270,9 @@ func ScenarioFor(seed int64) Scenario {
 	// compensations never, per the paper's perfect-compensation
 	// assumption).
 	sc.Plan.SubsystemFail = chooseFailures(sc)
+	if sc.Engine == "runtime" {
+		sc.Mode = scheduler.PRED // cascading aborts run on the sequential engine only
+	}
 	return sc
 }
 

@@ -12,7 +12,6 @@ import (
 	"transproc/internal/metrics"
 	"transproc/internal/process"
 	"transproc/internal/scheduler"
-	"transproc/internal/scheduler/policy"
 	"transproc/internal/subsystem"
 	"transproc/internal/wal"
 	"transproc/internal/workload"
@@ -25,7 +24,6 @@ import (
 type FedScenario struct {
 	Seed  int64
 	Class string
-	Mode  policy.Mode
 	Nodes int
 	// CrashNode/CrashPoint/CrashCount arm a crash-point injector on one
 	// node (fed:dispatch, fed:after-prepared, twopc:after-decision,
@@ -56,7 +54,6 @@ func FedScenarioFor(seed int64) FedScenario {
 	rng := rand.New(rand.NewSource(seed*6364136223846793005 + 1442695040888963407))
 	sc := FedScenario{
 		Seed:  seed,
-		Mode:  policy.PRED,
 		Nodes: 2 + rng.Intn(2),
 		Wire: chaos.Plan{
 			Seed:       seed,
@@ -65,9 +62,9 @@ func FedScenarioFor(seed int64) FedScenario {
 			PDuplicate: 0.04,
 		},
 	}
-	if rng.Intn(3) == 0 {
-		sc.Mode = policy.PREDCascade
-	}
+	// This draw once chose PREDCascade for a third of the seeds; it is
+	// kept so every seed's later draws stay the same.
+	rng.Intn(3)
 	switch seed % 3 {
 	case 0:
 		// Kill a node between its 2PC decision record and the
@@ -191,7 +188,7 @@ func RunFedScenario(sc FedScenario) (altFired bool, err error) {
 	}
 	reg := metrics.New()
 	cfg := Config{
-		Nodes: sc.Nodes, Mode: sc.Mode, MaxRestarts: 8,
+		Nodes: sc.Nodes, MaxRestarts: 8,
 		Metrics: reg, Wire: sc.Wire, DispatchBudget: sc.DispatchBudget,
 	}
 	if sc.CrashPoint != "" {
@@ -280,7 +277,7 @@ func runRejoin(fed *subsystem.Federation, defs []*process.Process, sc FedScenari
 		redefs[i] = def.WithID(def.ID + "-rj")
 	}
 	c, err := NewCluster(fed, redefs, Config{
-		Nodes: sc.Nodes, Mode: sc.Mode, MaxRestarts: 8, Wire: chaos.Plan{Seed: sc.Seed + 1},
+		Nodes: sc.Nodes, MaxRestarts: 8, Wire: chaos.Plan{Seed: sc.Seed + 1},
 	})
 	if err != nil {
 		return fmt.Errorf("seed %d (%s): rejoin: %w", sc.Seed, sc.Class, err)

@@ -28,7 +28,9 @@ type Config struct {
 	// Nodes is the scheduler-node count; processes are partitioned
 	// round-robin by arrival rank.
 	Nodes int
-	Mode  policy.Mode
+	// Mode is the scheduling policy; PRED (the zero value) is the only
+	// one the hub accepts.
+	Mode policy.Mode
 	// MaxRestarts per origin process; MaxStalls bounds cluster-wide
 	// victim designations.
 	MaxRestarts int
@@ -114,9 +116,6 @@ type Cluster struct {
 func NewCluster(fed *subsystem.Federation, defs []*process.Process, cfg Config) (*Cluster, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 2
-	}
-	if cfg.Mode == 0 {
-		cfg.Mode = policy.PRED
 	}
 	if cfg.HubJournal == nil {
 		cfg.HubJournal = NewMemJournal()

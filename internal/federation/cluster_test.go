@@ -183,23 +183,32 @@ func TestClusterFailures(t *testing.T) {
 	}
 }
 
-// TestClusterCascadeMode exercises PREDCascade across node boundaries.
+// TestClusterCascadeMode pins that the federation rejects every mode
+// but PRED, naming the mode: cascading aborts run on the sequential
+// engine only, and admission-level modes would serialize the cluster.
 func TestClusterCascadeMode(t *testing.T) {
 	w := workload.MustGenerate(fedProfile(5))
 	defs := defsOf(w)
-	injectRules(t, w.Fed, chooseRules(w, 5))
-	c, err := federation.NewCluster(w.Fed, defs, federation.Config{Nodes: 2, Mode: policy.PREDCascade, MaxRestarts: 4})
-	if err != nil {
-		t.Fatal(err)
+	tt := []struct {
+		mode policy.Mode
+		name string
+	}{
+		{policy.PREDCascade, "pred-cascade"},
+		{policy.Serial, "serial"},
+		{policy.CCOnly, "cc-only"},
 	}
-	defer c.Close()
-	res := c.Run()
-	for i, nerr := range res.NodeErrs {
-		if nerr != nil {
-			t.Fatalf("node %d: %v", i, nerr)
-		}
+	for _, tc := range tt {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := federation.NewCluster(w.Fed, defs, federation.Config{Nodes: 2, Mode: tc.mode, MaxRestarts: 4})
+			if err == nil {
+				c.Close()
+				t.Fatalf("NewCluster accepted mode %v", tc.mode)
+			}
+			if !strings.Contains(err.Error(), "unsupported mode "+tc.name) {
+				t.Fatalf("error %q does not name the mode %q", err, tc.name)
+			}
+		})
 	}
-	checkStitched(t, c, w.Fed, defs)
 }
 
 // TestClusterDedup runs with a wire plan that duplicates and loses

@@ -48,7 +48,7 @@ func foldOutcomes(out map[process.ID]*scheduler.Outcome) map[string]bool {
 	return m
 }
 
-func runFedDifferential(t *testing.T, seed int64, mode policy.Mode, nodes int, wire bool) (committed, aborted int) {
+func runFedDifferential(t *testing.T, seed int64, nodes int, wire bool) (committed, aborted int) {
 	t.Helper()
 	p := fedProfile(seed)
 
@@ -60,11 +60,7 @@ func runFedDifferential(t *testing.T, seed int64, mode policy.Mode, nodes int, w
 	injectRules(t, oracleW.Fed, rules)
 	injectRules(t, fedW.Fed, rules)
 
-	schedMode := scheduler.PRED
-	if mode == policy.PREDCascade {
-		schedMode = scheduler.PREDCascade
-	}
-	eng, err := scheduler.New(oracleW.Fed, scheduler.Config{Mode: schedMode, MaxRestarts: 64})
+	eng, err := scheduler.New(oracleW.Fed, scheduler.Config{Mode: scheduler.PRED, MaxRestarts: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +69,7 @@ func runFedDifferential(t *testing.T, seed int64, mode policy.Mode, nodes int, w
 		t.Fatalf("oracle: %v", err)
 	}
 
-	cfg := federation.Config{Nodes: nodes, Mode: mode, MaxRestarts: 64}
+	cfg := federation.Config{Nodes: nodes, Mode: policy.PRED, MaxRestarts: 64}
 	if wire {
 		cfg.Wire = chaos.Plan{Seed: seed, PTransient: 0.03, PTimeout: 0.06, PDuplicate: 0.06}
 		cfg.DispatchBudget = 1 << 16
@@ -134,7 +130,7 @@ func TestFedDifferentialPRED(t *testing.T) {
 			t.Parallel()
 			nodes := 2 + int(seed%3) // 2..4 nodes
 			wire := seed%2 == 0      // half the seeds add transport chaos
-			c, a := runFedDifferential(t, seed, policy.PRED, nodes, wire)
+			c, a := runFedDifferential(t, seed, nodes, wire)
 			mu.Lock()
 			committed += c
 			aborted += a
@@ -148,20 +144,4 @@ func TestFedDifferentialPRED(t *testing.T) {
 			t.Errorf("degenerate battery: %d committed, %d aborted origins", committed, aborted)
 		}
 	})
-}
-
-// TestFedDifferentialCascade cross-checks a slice of the battery under
-// PREDCascade, whose cascading aborts restart through different paths.
-func TestFedDifferentialCascade(t *testing.T) {
-	seeds := int64(15)
-	if testing.Short() {
-		seeds = 5
-	}
-	for seed := int64(1); seed <= seeds; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			t.Parallel()
-			runFedDifferential(t, seed, policy.PREDCascade, 2+int(seed%2), seed%2 == 1)
-		})
-	}
 }

@@ -12,7 +12,6 @@ import (
 	"transproc/internal/fault"
 	"transproc/internal/metrics"
 	"transproc/internal/process"
-	"transproc/internal/schedule"
 	"transproc/internal/scheduler"
 	"transproc/internal/scheduler/policy"
 	"transproc/internal/subsystem"
@@ -20,10 +19,10 @@ import (
 
 // HubConfig configures the coordination hub.
 type HubConfig struct {
-	// Mode is the scheduling policy; the federation supports PRED and
-	// PREDCascade (the modes whose decisions are per-event and therefore
-	// liftable behind RPCs; Serial/Conservative admission gating would
-	// serialize the cluster anyway).
+	// Mode is the scheduling policy; the federation supports PRED only
+	// (its decisions are per-event and therefore liftable behind RPCs;
+	// Serial/Conservative admission gating would serialize the cluster
+	// anyway, and cascading aborts run on the sequential engine only).
 	Mode policy.Mode
 	// MaxStalls bounds cluster-wide victim designations.
 	MaxStalls int
@@ -56,23 +55,6 @@ type HubConfig struct {
 // stamps, and a reopened hub's counter jumps at most this far ahead.
 const leaseChunk = 512
 
-// hubPhase mirrors the engine's procState.
-type hubPhase int
-
-const (
-	hubRunning hubPhase = iota
-	hubAborting
-	hubDone
-	// hubParked is Done for the policy view but distinguishable for the
-	// dispatch handlers: a parked process's remaining completion steps
-	// run only during post-run recovery — after every live event in the
-	// stitched log — so the hub must bounce the owner's racing RPCs
-	// (StPark) and hold conflicting live work behind the parked
-	// footprint, or admitted work would order before steps that replay
-	// after it and invert the forced serialization order.
-	hubParked
-)
-
 // hubTx is a subsystem transaction the hub tracks on behalf of a node.
 type hubTx struct {
 	sub     *subsystem.Subsystem
@@ -86,24 +68,25 @@ type hubTx struct {
 // processes single-threaded, so per-process operations are serial and
 // the two instances stay in lockstep.
 type hubProc struct {
-	id      process.ID
-	origin  process.ID
-	node    uint32
-	arrival int
+	policy.Proc
+	origin process.ID
+	node   uint32
+	def    *process.Process
 
-	def  *process.Process
-	inst *process.Instance
-
-	phase           hubPhase
-	running         map[int]string // local -> service (frontier in flight)
-	inflight        map[int]hubTx  // local -> prepared tx awaiting CommitLocal
-	prepared        map[int]hubTx  // Lemma-1 deferred transactions
-	recovery        []process.Step
-	recoveryBusy    bool
-	recoveryBusySvc string
-	stepTx          hubTx // in-flight recovery-step transaction
-	abortPending    bool
-	decided         bool // 2PC commit decision granted (point of no return)
+	// parked marks a process whose Phase is Done for the policy but
+	// whose remaining completion steps run only during post-run
+	// recovery — after every live event in the stitched log — so the
+	// hub must bounce the owner's racing RPCs (StPark) and hold
+	// conflicting live work behind the parked footprint, or admitted
+	// work would order before steps that replay after it and invert the
+	// forced serialization order. A parked process never terminates
+	// here.
+	parked       bool
+	inflight     map[int]hubTx // local -> prepared tx awaiting CommitLocal (Proc.InFlight holds its service)
+	prepared     map[int]hubTx // Lemma-1 deferred transactions
+	stepTx       hubTx         // in-flight recovery-step transaction
+	abortPending bool
+	decided      bool // 2PC commit decision granted (point of no return)
 	// committedEvents counts the process's committed (non-tentative)
 	// policy events — the adoption gate: an orphan with zero committed
 	// events has nothing recovery must compensate, so its origin can be
@@ -115,10 +98,14 @@ type hubProc struct {
 	// even if the owner later revives: its subsystem residue was
 	// settled at death and only recovery (or adoption) finishes it.
 	zombie bool
-	// fate is the terminal outcome once phase is hubDone (true =
-	// committed), served to re-attaching owners that lost the response.
+	// fate is the terminal outcome once terminated (true = committed),
+	// served to re-attaching owners that lost the response.
 	fate bool
 }
+
+// terminated reports whether the hub settled the process's fate: its
+// phase is Done and it was not merely parked for recovery.
+func (hp *hubProc) terminated() bool { return hp.Phase == policy.Done && !hp.parked }
 
 // hubNode is the hub's view of one scheduler node.
 type hubNode struct {
@@ -141,10 +128,11 @@ type adoptOffer struct {
 }
 
 // Hub is the coordination agent: it owns the subsystem federation, the
-// single policy state, the global stamp counter and the process
-// mirrors. Every handler runs under one mutex — the serial section that
-// makes cross-node decisions total-ordered; the stamps it hands out
-// place the nodes' WAL records into that order.
+// single policy state (which holds the process table in admission
+// order), the global stamp counter and the process mirrors. Every
+// handler runs under one mutex — the serial section that makes
+// cross-node decisions total-ordered; the stamps it hands out place
+// the nodes' WAL records into that order.
 type Hub struct {
 	mu    sync.Mutex
 	fed   *subsystem.Federation
@@ -153,9 +141,8 @@ type Hub struct {
 	cfg   HubConfig
 	reg   *metrics.Registry
 
-	defs  map[string]*process.Process // by origin id
-	order []process.ID                // admission order
-	byID  map[process.ID]*hubProc
+	defs map[string]*process.Process // by origin id
+	byID map[process.ID]*hubProc
 
 	nodes map[uint32]*hubNode
 	dedup map[uint32]map[uint64]*Frame
@@ -187,8 +174,8 @@ type Hub struct {
 // NewHub builds the hub over a federation and the process definitions
 // (by origin id; restart incarnations derive from them).
 func NewHub(fed *subsystem.Federation, defs []*process.Process, cfg HubConfig) (*Hub, error) {
-	if cfg.Mode != policy.PRED && cfg.Mode != policy.PREDCascade {
-		return nil, fmt.Errorf("federation: unsupported mode %v (PRED and PREDCascade only)", cfg.Mode)
+	if cfg.Mode != policy.PRED {
+		return nil, fmt.Errorf("federation: unsupported mode %v (PRED only)", cfg.Mode)
 	}
 	table, err := fed.ConflictTable()
 	if err != nil {
@@ -274,63 +261,14 @@ func (h *Hub) Epoch() uint32 {
 	return h.epoch
 }
 
-// hubView adapts the mirrors to the policy's View.
-type hubView struct{ h *Hub }
-
-func (v hubView) Procs() []process.ID { return v.h.order }
-
-func (v hubView) Phase(id process.ID) policy.Phase {
-	hp := v.h.byID[id]
-	if hp == nil {
-		return policy.Done
-	}
-	switch hp.phase {
-	case hubRunning:
-		return policy.Running
-	case hubAborting:
-		return policy.Aborting
-	default:
-		return policy.Done
+// procs iterates the process mirrors in admission order.
+func (h *Hub) procs(yield func(*hubProc) bool) {
+	for _, p := range h.pol.Procs() {
+		if !yield(h.byID[p.ID]) {
+			return
+		}
 	}
 }
-
-func (v hubView) Arrival(id process.ID) int {
-	if hp := v.h.byID[id]; hp != nil {
-		return hp.arrival
-	}
-	return 0
-}
-
-func (v hubView) Instance(id process.ID) *process.Instance {
-	if hp := v.h.byID[id]; hp != nil {
-		return hp.inst
-	}
-	return nil
-}
-
-func (v hubView) RecoverySteps(id process.ID) []process.Step {
-	if hp := v.h.byID[id]; hp != nil {
-		return hp.recovery
-	}
-	return nil
-}
-
-func (v hubView) InFlight(id process.ID) []string {
-	hp := v.h.byID[id]
-	if hp == nil {
-		return nil
-	}
-	out := make([]string, 0, len(hp.running)+1)
-	for _, svc := range hp.running {
-		out = append(out, svc)
-	}
-	if hp.recoveryBusy && hp.recoveryBusySvc != "" {
-		out = append(out, hp.recoveryBusySvc)
-	}
-	return out
-}
-
-func (h *Hub) view() policy.View { return hubView{h} }
 
 // resp builds a response frame, carrying the current progress
 // generation so idle nodes can tell stale quiescence from real, and the
@@ -491,7 +429,7 @@ func (h *Hub) handleAdmit(req *Frame) *Frame {
 		// force a second RecStart record.
 		out := h.resp(StOK)
 		out.Flag2 = true
-		if hp := h.byID[id]; hp.phase == hubDone {
+		if hp := h.byID[id]; hp.terminated() {
 			// The incarnation was settled while the admitting node was
 			// out (retired for re-homing, or terminated by a previous
 			// owner). Carry the fate so the node files it as done instead
@@ -512,13 +450,15 @@ func (h *Hub) handleAdmit(req *Frame) *Frame {
 		def = def.WithID(id)
 	}
 	hp := &hubProc{
-		id: id, origin: process.ID(req.Origin), node: req.Node,
-		arrival: int(req.Local), def: def, inst: process.NewInstance(def),
-		running:  make(map[int]string),
+		Proc: policy.Proc{
+			ID: id, Arrival: int(req.Local), Inst: process.NewInstance(def),
+			InFlight: make(map[int]string),
+		},
+		origin: process.ID(req.Origin), node: req.Node, def: def,
 		inflight: make(map[int]hubTx),
 		prepared: make(map[int]hubTx),
 	}
-	h.order = append(h.order, id)
+	h.pol.Admit(&hp.Proc)
 	h.byID[id] = hp
 	delete(h.pending, req.Origin)
 	if s := int(req.Extra); s > h.maxSuffix[req.Origin] {
@@ -535,7 +475,6 @@ func (h *Hub) handleAdmit(req *Frame) *Frame {
 			panic(fmt.Sprintf("federation: hub journal append: %v", err))
 		}
 	}
-	h.pol.Bump()
 	out := h.resp(StOK)
 	out.Stamp = h.next() // for the node's RecStart record
 	return out
@@ -552,13 +491,13 @@ func (h *Hub) handleDispatch(req *Frame) *Frame {
 	if hp == nil {
 		return h.errf("dispatch for unknown process %s", req.Proc)
 	}
-	if hp.phase == hubParked {
+	if hp.parked {
 		out := h.resp(StPark)
-		out.Victim = string(hp.id)
+		out.Victim = string(hp.ID)
 		return out
 	}
-	if hp.phase != hubRunning {
-		return h.errf("dispatch for %s in phase %d", hp.id, hp.phase)
+	if hp.Phase != policy.Running {
+		return h.errf("dispatch for %s in phase %d", hp.ID, hp.Phase)
 	}
 	if hp.abortPending {
 		return h.resp(StVictim)
@@ -566,12 +505,12 @@ func (h *Hub) handleDispatch(req *Frame) *Frame {
 	local := int(req.Local)
 	a := hp.def.Activity(local)
 	if a == nil {
-		return h.errf("dispatch for unknown activity %s/%d", hp.id, local)
+		return h.errf("dispatch for unknown activity %s/%d", hp.ID, local)
 	}
-	if ok, _ := h.pol.MayDispatch(h.view(), hp.id, a); !ok {
+	if ok, _ := h.pol.MayDispatch(hp.ID, a); !ok {
 		return h.resp(StPolicyWait)
 	}
-	if h.parkedConflict(hp.id, a.Service) {
+	if h.parkedConflict(hp.ID, a.Service) {
 		return h.resp(StPolicyWait)
 	}
 	res, err := h.fed.Invoke(string(hp.origin), a.Service, subsystem.Prepare)
@@ -581,10 +520,10 @@ func (h *Hub) handleDispatch(req *Frame) *Frame {
 	case subsystem.IsInvocationFailure(err):
 		return h.invocationFailed(hp, local, a.Service, a.Kind)
 	case err != nil:
-		return h.errf("invoke %s/%s: %v", hp.id, a.Service, err)
+		return h.errf("invoke %s/%s: %v", hp.ID, a.Service, err)
 	}
 	sub, _ := h.fed.Owner(a.Service)
-	hp.running[local] = a.Service
+	hp.InFlight[local] = a.Service
 	hp.inflight[local] = hubTx{sub: sub, tx: res.Tx, service: a.Service}
 	h.pol.Bump()
 	out := h.resp(StOK)
@@ -614,55 +553,26 @@ func (h *Hub) invocationFailed(hp *hubProc, local int, service string, kind acti
 	// The node computes the identical plan from its own mirror instance;
 	// the response only carries stamps and which block ran.
 	stampFail := h.next() // for the node's RecFailed record
-	h.pol.AppendEvent(&policy.Event{
-		Seq: stampFail, Proc: hp.id, Local: local, Service: service, Kind: kind,
-		Typ: schedule.FailedInvoke,
+	var stampAbort int64  // for the node's RecAbortBegin record
+	aborting, err := h.pol.Fail(&hp.Proc, local, service, kind, stampFail, hp.abortPending, func() int64 {
+		stampAbort = h.next()
+		return stampAbort
 	})
-	plan, err := hp.inst.MarkFailed(local)
 	if err != nil {
-		return h.errf("mark failed %s/%d: %v", hp.id, local, err)
+		return h.errf("mark failed %s/%d: %v", hp.ID, local, err)
 	}
 	out := h.resp(StFailedPermanent)
-	out.Stamp = stampFail
-	if hp.abortPending {
-		// A pending abort supersedes the failure's local plan.
-		out.Flag2 = true
-		h.pol.Bump()
-		return out
-	}
-	if plan.Abort {
-		hp.phase = hubAborting
-		hp.recovery = plan.Steps
-		out.Flag = true
-		out.Stamp2 = h.next() // for the node's RecAbortBegin record
-		h.pol.AppendEvent(&policy.Event{Seq: out.Stamp2, Proc: hp.id, Typ: schedule.AbortBegin})
-		h.cascadeDependents(hp)
-	} else {
-		hp.recovery = plan.Steps
-	}
-	h.pol.Bump()
+	out.Stamp, out.Stamp2 = stampFail, stampAbort
+	out.Flag = aborting
+	out.Flag2 = hp.abortPending // a pending abort supersedes the failure's local plan
 	return out
-}
-
-// cascadeDependents mirrors the engine's cascading aborts (PREDCascade).
-// Victims may be owned by other nodes; they learn through StVictim on
-// their next dispatch-class RPC or an idle poll.
-func (h *Hub) cascadeDependents(hp *hubProc) {
-	for _, id := range h.pol.CascadeVictims(h.view(), hp.id, hp.recovery) {
-		q := h.byID[id]
-		if q == nil || q.phase != hubRunning || q.abortPending || q.decided {
-			continue
-		}
-		q.abortPending = true
-		h.queueVictim(q)
-	}
 }
 
 // queueVictim records a designation for delivery through the owner's
 // idle polls (dispatch-class RPCs deliver it redundantly).
 func (h *Hub) queueVictim(hp *hubProc) {
 	if n := h.nodes[hp.node]; n != nil && !n.dead {
-		n.victims = append(n.victims, hp.id)
+		n.victims = append(n.victims, hp.ID)
 	}
 }
 
@@ -679,25 +589,21 @@ func (h *Hub) handleCommitLocal(req *Frame) *Frame {
 	local := int(req.Local)
 	ptx, ok := hp.inflight[local]
 	if !ok {
-		return h.errf("commit-local for %s/%d with no in-flight transaction", hp.id, local)
+		return h.errf("commit-local for %s/%d with no in-flight transaction", hp.ID, local)
 	}
 	a := hp.def.Activity(local)
-	delete(hp.running, local)
+	delete(hp.InFlight, local)
 	delete(hp.inflight, local)
 	h.pol.Bump()
-	if a.Kind == activity.Compensatable || !h.pol.HasActiveConflictPred(h.view(), hp.id) {
+	if h.pol.CommitNow(&hp.Proc, a.Kind) {
 		if err := ptx.sub.CommitPrepared(ptx.tx); err != nil {
-			return h.errf("commit %s/%s: %v", hp.id, ptx.service, err)
+			return h.errf("commit %s/%s: %v", hp.ID, ptx.service, err)
 		}
 		stamp := h.next() // for the node's RecResolved(commit) record
-		if err := hp.inst.MarkCommitted(local); err != nil {
+		if err := h.pol.Commit(&hp.Proc, local, ptx.service, a.Kind, stamp); err != nil {
 			return h.errf("%v", err)
 		}
 		hp.committedEvents++
-		h.pol.AppendEvent(&policy.Event{
-			Seq: stamp, Proc: hp.id, Local: local, Service: ptx.service, Kind: a.Kind,
-			Typ: schedule.Invoke,
-		})
 		out := h.resp(StOK)
 		out.Stamp = stamp
 		out.Tx = int64(ptx.tx)
@@ -705,14 +611,10 @@ func (h *Hub) handleCommitLocal(req *Frame) *Frame {
 		out.Service = ptx.service
 		return out
 	}
-	if err := hp.inst.MarkPrepared(local); err != nil {
+	if err := h.pol.Defer(&hp.Proc, local, ptx.service, a.Kind, h.next()); err != nil {
 		return h.errf("%v", err)
 	}
 	hp.prepared[local] = ptx
-	h.pol.AppendEvent(&policy.Event{
-		Seq: h.next(), Proc: hp.id, Local: local, Service: ptx.service, Kind: a.Kind,
-		Typ: schedule.Invoke, Tentative: true,
-	})
 	return h.resp(StDeferred)
 }
 
@@ -725,37 +627,37 @@ func (h *Hub) handleStepDispatch(req *Frame) *Frame {
 	if hp == nil {
 		return h.errf("step-dispatch for unknown process %s", req.Proc)
 	}
-	if hp.phase == hubParked {
+	if hp.parked {
 		// The park raced an in-flight (or next-round retried) dispatch
 		// from the owner: the process was parked between the node's last
 		// observation and this RPC. Granting here would execute a step
 		// the composed recovery also replans.
 		out := h.resp(StPark)
-		out.Victim = string(hp.id)
+		out.Victim = string(hp.ID)
 		return out
 	}
-	if h.parkedConflict(hp.id, req.Service) {
+	if h.parkedConflict(hp.ID, req.Service) {
 		return h.resp(StPolicyWait)
 	}
 	st := process.Step{Kind: process.StepKind(req.Extra), Local: int(req.Local), Service: req.Service}
 	var kind activity.Kind
 	switch st.Kind {
 	case process.StepCompensate:
-		if !h.pol.Lemma2Clear(h.view(), hp.id, st) {
+		if !h.pol.Lemma2Clear(hp.ID, st) {
 			return h.resp(StPolicyWait)
 		}
 		kind = activity.Compensation
 	case process.StepInvoke:
-		if !h.pol.Lemma3Clear(h.view(), hp.id, st) {
+		if !h.pol.Lemma3Clear(hp.ID, st) {
 			return h.resp(StPolicyWait)
 		}
-		if !h.pol.Lemma1ClearForward(h.view(), hp.id, st) {
+		if !h.pol.Lemma1ClearForward(hp.ID, st) {
 			return h.resp(StPolicyWait)
 		}
-		if !h.pol.StepForcedClear(h.view(), hp.id, st) {
+		if !h.pol.StepForcedClear(hp.ID, st) {
 			return h.resp(StPolicyWait)
 		}
-		if _, deferred := h.pol.DeferToAborting(h.view(), hp.id, st); deferred {
+		if _, deferred := h.pol.DeferToAborting(hp.ID, st); deferred {
 			return h.resp(StPolicyWait)
 		}
 		kind = hp.def.Activity(st.Local).Kind
@@ -769,11 +671,10 @@ func (h *Hub) handleStepDispatch(req *Frame) *Frame {
 	case subsystem.IsInvocationFailure(err):
 		return h.resp(StFailedTransient)
 	case err != nil:
-		return h.errf("invoke step %s/%s: %v", hp.id, st.Service, err)
+		return h.errf("invoke step %s/%s: %v", hp.ID, st.Service, err)
 	}
 	sub, _ := h.fed.Owner(st.Service)
-	hp.recoveryBusy = true
-	hp.recoveryBusySvc = st.Service
+	hp.StepSvc = st.Service
 	hp.stepTx = hubTx{sub: sub, tx: res.Tx, service: st.Service}
 	h.pol.Bump()
 	out := h.resp(StOK)
@@ -792,36 +693,19 @@ func (h *Hub) handleStepCommit(req *Frame) *Frame {
 	if hp == nil {
 		return h.errf("step-commit for unknown process %s", req.Proc)
 	}
-	if !hp.recoveryBusy {
-		return h.errf("step-commit for %s with no step in flight", hp.id)
+	if !hp.StepBusy() {
+		return h.errf("step-commit for %s with no step in flight", hp.ID)
 	}
 	st := process.Step{Kind: process.StepKind(req.Extra), Local: int(req.Local), Service: req.Service}
 	ptx := hp.stepTx
-	hp.recoveryBusy = false
-	hp.recoveryBusySvc = ""
+	hp.StepSvc = ""
 	hp.stepTx = hubTx{}
 	h.pol.Bump()
 	if err := ptx.sub.CommitPrepared(ptx.tx); err != nil {
-		return h.errf("commit step %s/%s: %v", hp.id, st.Service, err)
-	}
-	if len(hp.recovery) > 0 && hp.recovery[0] == st {
-		hp.recovery = hp.recovery[1:]
+		return h.errf("commit step %s/%s: %v", hp.ID, st.Service, err)
 	}
 	hp.committedEvents++
-	switch st.Kind {
-	case process.StepCompensate:
-		h.pol.MarkCompensated(hp.id, st.Local)
-		h.pol.AppendEvent(&policy.Event{
-			Seq: h.next(), Proc: hp.id, Local: st.Local, Service: st.Service,
-			Kind: activity.Compensation, Typ: schedule.Invoke, Inverse: true,
-		})
-	case process.StepInvoke:
-		h.pol.AppendEvent(&policy.Event{
-			Seq: h.next(), Proc: hp.id, Local: st.Local, Service: st.Service,
-			Kind: activity.Kind(req.Kind), Typ: schedule.Invoke,
-		})
-	}
-	if err := hp.inst.ApplyStep(st); err != nil {
+	if err := h.pol.StepDone(&hp.Proc, st, activity.Kind(req.Kind), h.next()); err != nil {
 		return h.errf("%v", err)
 	}
 	return h.resp(StOK)
@@ -839,8 +723,8 @@ func (h *Hub) handleAbortTx(req *Frame) *Frame {
 	}
 	local := int(req.Local)
 	st := process.Step{Kind: process.StepAbortPrepared, Local: local, Service: req.Service}
-	if req.Flag && len(hp.recovery) > 0 && hp.recovery[0].Kind == process.StepAbortPrepared && hp.recovery[0].Local == local {
-		hp.recovery = hp.recovery[1:]
+	if req.Flag && len(hp.Recovery) > 0 && hp.Recovery[0].Kind == process.StepAbortPrepared && hp.Recovery[0].Local == local {
+		hp.Recovery = hp.Recovery[1:]
 	}
 	out := h.resp(StOK)
 	if ptx, ok := hp.prepared[local]; ok {
@@ -853,9 +737,9 @@ func (h *Hub) handleAbortTx(req *Frame) *Frame {
 		}
 		delete(hp.prepared, local)
 	}
-	h.pol.EraseTentative(hp.id, local)
+	h.pol.EraseTentative(hp.ID, local)
 	if req.Flag {
-		_ = hp.inst.ApplyStep(st)
+		_ = hp.Inst.ApplyStep(st)
 	}
 	h.pol.Bump()
 	return out
@@ -868,18 +752,12 @@ func (h *Hub) handleAbortBegin(req *Frame) *Frame {
 	if hp == nil {
 		return h.errf("abort-begin for unknown process %s", req.Proc)
 	}
-	steps, err := hp.inst.Abort()
-	if err != nil {
-		return h.errf("abort %s: %v", hp.id, err)
-	}
-	hp.abortPending = false
-	hp.phase = hubAborting
-	hp.recovery = steps
 	out := h.resp(StOK)
 	out.Stamp = h.next() // for the node's RecAbortBegin record
-	h.pol.AppendEvent(&policy.Event{Seq: out.Stamp, Proc: hp.id, Typ: schedule.AbortBegin})
-	h.cascadeDependents(hp)
-	h.pol.Bump()
+	if err := h.pol.Abort(&hp.Proc, out.Stamp); err != nil {
+		return h.errf("abort %s: %v", hp.ID, err)
+	}
+	hp.abortPending = false
 	return out
 }
 
@@ -905,11 +783,11 @@ func (h *Hub) handleCommitClear(req *Frame) *Frame {
 	if len(hp.prepared) == 0 {
 		return h.resp(StOK)
 	}
-	if h.pol.HasActiveConflictPred(h.view(), hp.id) {
+	if h.pol.HasActiveConflictPred(hp.ID) {
 		return h.resp(StNotClear)
 	}
 	out := h.resp(StOK)
-	if hp.inst.Done() {
+	if hp.Inst.Done() {
 		hp.decided = true
 	}
 	out.Flag = true
@@ -934,19 +812,17 @@ func (h *Hub) handleResolve(req *Frame) *Frame {
 	local := int(req.Local)
 	ptx, ok := hp.prepared[local]
 	if !ok {
-		return h.errf("resolve for %s/%d with no prepared transaction", hp.id, local)
+		return h.errf("resolve for %s/%d with no prepared transaction", hp.ID, local)
 	}
 	if err := ptx.sub.CommitPrepared(ptx.tx); err != nil {
-		return h.errf("resolve %s/%s: %v", hp.id, ptx.service, err)
+		return h.errf("resolve %s/%s: %v", hp.ID, ptx.service, err)
 	}
 	stamp := h.next() // for the node's RecResolved(commit) record
-	if err := hp.inst.MarkCommitted(local); err != nil {
+	if err := h.pol.Finalize(&hp.Proc, local, stamp); err != nil {
 		return h.errf("%v", err)
 	}
-	h.pol.FinalizeTentative(hp.id, local, stamp)
 	delete(hp.prepared, local)
 	hp.committedEvents++
-	h.pol.Bump()
 	out := h.resp(StOK)
 	out.Stamp = stamp
 	out.Tx = int64(ptx.tx)
@@ -968,21 +844,18 @@ func (h *Hub) handleTerminate(req *Frame) *Frame {
 	if hp == nil {
 		return h.errf("terminate for unknown process %s", req.Proc)
 	}
-	if hp.phase == hubParked {
+	if hp.parked {
 		// A quiescence sweep on another node's idle poll parked this
 		// process while its terminate was in flight. Parked processes
 		// must not log a terminate record — recovery finishes them.
 		out := h.resp(StPark)
-		out.Victim = string(hp.id)
+		out.Victim = string(hp.ID)
 		return out
 	}
-	hp.phase = hubDone
 	hp.fate = req.Flag
 	out := h.resp(StOK)
 	out.Stamp = h.next() // for the node's RecTerminate record
-	h.pol.AppendEvent(&policy.Event{Seq: out.Stamp, Proc: hp.id, Typ: schedule.Terminate, Committed: req.Flag})
-	hp.inst.MarkTerminated(req.Flag)
-	h.pol.Bump()
+	h.pol.Terminate(&hp.Proc, req.Flag, out.Stamp)
 	return out
 }
 
@@ -997,7 +870,7 @@ func (h *Hub) handleFailed(req *Frame) *Frame {
 	}
 	a := hp.def.Activity(int(req.Local))
 	if a == nil {
-		return h.errf("failed-report for unknown activity %s/%d", hp.id, req.Local)
+		return h.errf("failed-report for unknown activity %s/%d", hp.ID, req.Local)
 	}
 	return h.invocationFailed(hp, int(req.Local), a.Service, a.Kind)
 }
@@ -1038,12 +911,12 @@ func (h *Hub) handleReattach(req *Frame) *Frame {
 	out := h.resp(StOK)
 	if hp := h.byID[id]; hp != nil {
 		switch {
-		case hp.phase == hubDone && hp.fate:
+		case hp.terminated() && hp.fate:
 			out.Extra = ReattachCommitted
-		case hp.phase == hubDone:
+		case hp.terminated():
 			out.Extra = ReattachAborted
 			h.maybeGrantRestart(req, hp.origin, out)
-		case hp.phase == hubParked || hp.zombie:
+		case hp.parked || hp.zombie:
 			out.Extra = ReattachParked
 		default:
 			out.Extra = ReattachLive
@@ -1079,8 +952,8 @@ func (h *Hub) maybeGrantRestart(req *Frame, origin process.ID, out *Frame) {
 		// though byID can't see it yet.
 		return
 	}
-	for _, oid := range h.order {
-		if q := h.byID[oid]; q.origin == origin && q.phase != hubDone {
+	for q := range h.procs {
+		if q.origin == origin && !q.terminated() {
 			return
 		}
 	}
@@ -1107,7 +980,7 @@ func (h *Hub) handleIdle(req *Frame) *Frame {
 	for len(n.victims) > 0 {
 		id := n.victims[0]
 		n.victims = n.victims[1:]
-		if hp := h.byID[id]; hp != nil && hp.abortPending && hp.phase == hubRunning {
+		if hp := h.byID[id]; hp != nil && hp.abortPending && hp.Phase == policy.Running {
 			out := h.resp(StVictim)
 			out.Victim = string(id)
 			return out
@@ -1164,7 +1037,7 @@ func (h *Hub) handleIdle(req *Frame) *Frame {
 	h.next() // progress bump: every idle mark is now stale
 	if victim.node == req.Node {
 		out := h.resp(StVictim)
-		out.Victim = string(victim.id)
+		out.Victim = string(victim.ID)
 		return out
 	}
 	h.queueVictim(victim)
@@ -1197,8 +1070,8 @@ func (h *Hub) parkBlocked(req *Frame) *Frame {
 	if !anyDead {
 		// A revived node clears its dead flag but leaves its pre-death
 		// processes as zombies, which block survivors just the same.
-		for _, id := range h.order {
-			if hp := h.byID[id]; hp.zombie && hp.phase != hubDone {
+		for hp := range h.procs {
+			if hp.zombie && !hp.terminated() {
 				anyDead = true
 				break
 			}
@@ -1209,23 +1082,23 @@ func (h *Hub) parkBlocked(req *Frame) *Frame {
 	}
 	var own *hubProc
 	parked := 0
-	for _, id := range h.order {
-		hp := h.byID[id]
+	for hp := range h.procs {
 		n := h.nodes[hp.node]
-		if n == nil || n.dead || hp.zombie || hp.phase != hubAborting ||
-			len(hp.running) > 0 || hp.recoveryBusy {
+		if n == nil || n.dead || hp.zombie || hp.Phase != policy.Aborting ||
+			len(hp.InFlight) > 0 || hp.StepBusy() {
 			continue
 		}
 		for local, ptx := range hp.prepared {
 			_ = ptx.sub.AbortPrepared(ptx.tx)
 			delete(hp.prepared, local)
 		}
-		hp.phase = hubParked
+		hp.Phase = policy.Done
+		hp.parked = true
 		parked++
 		if hp.node == req.Node && own == nil {
 			own = hp
 		} else {
-			n.parks = append(n.parks, hp.id)
+			n.parks = append(n.parks, hp.ID)
 		}
 	}
 	if parked == 0 {
@@ -1235,7 +1108,7 @@ func (h *Hub) parkBlocked(req *Frame) *Frame {
 	h.next() // progress bump: every idle mark is now stale
 	if own != nil {
 		out := h.resp(StPark)
-		out.Victim = string(own.id)
+		out.Victim = string(own.ID)
 		return out
 	}
 	return h.resp(StOK)
@@ -1251,12 +1124,11 @@ func (h *Hub) parkBlocked(req *Frame) *Frame {
 // remaining conflicting work. StepAbortPrepared entries are skipped:
 // parkBlocked already rolled the prepared transactions back.
 func (h *Hub) parkedConflict(id process.ID, svc string) bool {
-	for _, qid := range h.order {
-		q := h.byID[qid]
-		if q.phase != hubParked || q.id == id {
+	for q := range h.procs {
+		if !q.parked || q.ID == id {
 			continue
 		}
-		for _, st := range q.recovery {
+		for _, st := range q.Recovery {
 			if st.Kind == process.StepAbortPrepared {
 				continue
 			}
@@ -1282,27 +1154,25 @@ func (h *Hub) designateVictim() *hubProc {
 		return n != nil && !n.dead && !hp.zombie
 	}
 	var victim *hubProc
-	for _, id := range h.order {
-		hp := h.byID[id]
-		if !live(hp) || hp.phase != hubRunning || len(hp.running) > 0 ||
-			hp.recoveryBusy || hp.abortPending || hp.decided || hp.inst.Done() {
+	for hp := range h.procs {
+		if !live(hp) || hp.Phase != policy.Running || len(hp.InFlight) > 0 ||
+			hp.StepBusy() || hp.abortPending || hp.decided || hp.Inst.Done() {
 			continue
 		}
-		if victim == nil || hp.arrival > victim.arrival {
+		if victim == nil || hp.Arrival > victim.Arrival {
 			victim = hp
 		}
 	}
 	if victim != nil {
 		return victim
 	}
-	for _, id := range h.order {
-		hp := h.byID[id]
-		if !live(hp) || hp.phase != hubRunning || len(hp.running) > 0 ||
-			hp.recoveryBusy || hp.abortPending || hp.decided {
+	for hp := range h.procs {
+		if !live(hp) || hp.Phase != policy.Running || len(hp.InFlight) > 0 ||
+			hp.StepBusy() || hp.abortPending || hp.decided {
 			continue
 		}
-		if hp.inst.Done() && len(hp.prepared) > 0 && h.pol.HasActiveConflictPred(h.view(), hp.id) {
-			if victim == nil || hp.arrival > victim.arrival {
+		if hp.Inst.Done() && len(hp.prepared) > 0 && h.pol.HasActiveConflictPred(hp.ID) {
+			if victim == nil || hp.Arrival > victim.Arrival {
 				victim = hp
 			}
 		}
@@ -1349,19 +1219,18 @@ func (h *Hub) nodeDownLocked(node uint32) bool {
 	}
 	n.dead = true
 	h.reg.Inc(metrics.FedNodeDeaths)
-	for _, id := range h.order {
-		hp := h.byID[id]
-		if hp.node != node || hp.phase == hubDone {
+	for hp := range h.procs {
+		if hp.node != node || hp.terminated() {
 			continue
 		}
 		hp.zombie = true
-		if hp.phase == hubParked {
+		if hp.parked {
 			continue // parked residue was already settled by parkBlocked
 		}
 		if hp.decided {
 			for local, ptx := range hp.prepared {
 				if err := ptx.sub.CommitPrepared(ptx.tx); err == nil {
-					_ = hp.inst.MarkCommitted(local)
+					_ = hp.Inst.MarkCommitted(local)
 				}
 			}
 			continue
@@ -1369,7 +1238,7 @@ func (h *Hub) nodeDownLocked(node uint32) bool {
 		for local, ptx := range hp.inflight {
 			_ = ptx.sub.AbortPrepared(ptx.tx)
 			delete(hp.inflight, local)
-			delete(hp.running, local)
+			delete(hp.InFlight, local)
 		}
 		for _, ptx := range hp.prepared {
 			_ = ptx.sub.AbortPrepared(ptx.tx)
@@ -1432,20 +1301,19 @@ func (h *Hub) adoptOrphans(node uint32) {
 	}
 	sort.Slice(survivors, func(i, j int) bool { return survivors[i] < survivors[j] })
 	adopted := 0
-	for _, id := range h.order {
-		hp := h.byID[id]
-		if hp.node != node || hp.phase != hubRunning || hp.decided ||
-			hp.recoveryBusy || len(hp.recovery) > 0 || hp.committedEvents > 0 {
+	for hp := range h.procs {
+		if hp.node != node || hp.Phase != policy.Running || hp.decided ||
+			hp.StepBusy() || len(hp.Recovery) > 0 || hp.committedEvents > 0 {
 			continue
 		}
 		// Erase the tentative events of the (already aborted) Lemma-1
 		// deferred set and retire the incarnation; recovery will
 		// abort-terminate it from its RecStart record.
 		for local := range hp.prepared {
-			h.pol.EraseTentative(hp.id, local)
+			h.pol.EraseTentative(hp.ID, local)
 			delete(hp.prepared, local)
 		}
-		hp.phase = hubDone
+		hp.Phase = policy.Done
 		hp.fate = false
 		suffix := h.maxSuffix[string(hp.origin)] + 1
 		h.maxSuffix[string(hp.origin)] = suffix
@@ -1453,7 +1321,7 @@ func (h *Hub) adoptOrphans(node uint32) {
 		newID := process.ID(fmt.Sprintf("%s+r%d", hp.origin, suffix))
 		dst := survivors[adopted%len(survivors)]
 		h.nodes[dst].adopts = append(h.nodes[dst].adopts, adoptOffer{
-			origin: hp.origin, id: newID, arrival: hp.arrival, suffix: suffix,
+			origin: hp.origin, id: newID, arrival: hp.Arrival, suffix: suffix,
 		})
 		// The done report, if the survivor already filed one, is stale:
 		// it has work again and must resume polling.
@@ -1497,12 +1365,12 @@ func (h *Hub) dumpLocked() string {
 	sort.Strings(ids)
 	for _, id := range ids {
 		hp := h.byID[process.ID(id)]
-		if hp.phase == hubDone {
+		if hp.terminated() {
 			continue
 		}
-		s += fmt.Sprintf("  %s node=%d phase=%d done=%v running=%d recovery=%d busy=%v abortPending=%v prepared=%d decided=%v\n",
-			hp.id, hp.node, hp.phase, hp.inst.Done(), len(hp.running), len(hp.recovery),
-			hp.recoveryBusy, hp.abortPending, len(hp.prepared), hp.decided)
+		s += fmt.Sprintf("  %s node=%d phase=%d parked=%v done=%v running=%d recovery=%d busy=%v abortPending=%v prepared=%d decided=%v\n",
+			hp.ID, hp.node, hp.Phase, hp.parked, hp.Inst.Done(), len(hp.InFlight), len(hp.Recovery),
+			hp.StepBusy(), hp.abortPending, len(hp.prepared), hp.decided)
 	}
 	return s
 }

@@ -33,9 +33,6 @@ func unitWorld(t *testing.T) (*subsystem.Federation, []*process.Process) {
 func unitHub(t *testing.T, cfg HubConfig) (*Hub, []*process.Process) {
 	t.Helper()
 	fed, defs := unitWorld(t)
-	if cfg.Mode != policy.PRED && cfg.Mode != policy.PREDCascade {
-		cfg.Mode = policy.PRED
-	}
 	h, err := NewHub(fed, defs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +234,8 @@ func TestHubParkedBounces(t *testing.T) {
 
 	origin := string(defs[0].ID)
 	c.call(&Frame{Type: MsgAdmit, Proc: origin, Origin: origin})
-	h.byID[process.ID(origin)].phase = hubParked
+	hp := h.byID[process.ID(origin)]
+	hp.Phase, hp.parked = policy.Done, true
 
 	if got := c.call(&Frame{Type: MsgDispatch, Proc: origin, Local: 1}); got.Status != StPark || got.Victim != origin {
 		t.Errorf("dispatch against a parked process: %+v, want StPark naming it", got)

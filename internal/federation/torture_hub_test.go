@@ -25,8 +25,8 @@ var (
 func TestHubTortureBattery(t *testing.T) {
 	if *hubSeed >= 0 {
 		sc := HubScenarioFor(*hubSeed)
-		t.Logf("seed %d: class=%s mode=%v nodes=%d hub={%q, count %d} crash={node %d, %q, count %d} lease=%v wire=%+v",
-			sc.Seed, sc.Class, sc.Mode, sc.Nodes, sc.HubPoint, sc.HubCount,
+		t.Logf("seed %d: class=%s nodes=%d hub={%q, count %d} crash={node %d, %q, count %d} lease=%v wire=%+v",
+			sc.Seed, sc.Class, sc.Nodes, sc.HubPoint, sc.HubCount,
 			sc.CrashNode, sc.CrashPoint, sc.CrashCount, sc.LeaseTTL, sc.Wire)
 		st, err := RunHubScenario(sc)
 		if err != nil {

@@ -25,8 +25,8 @@ var (
 func TestFedTortureBattery(t *testing.T) {
 	if *fedSeed >= 0 {
 		sc := FedScenarioFor(*fedSeed)
-		t.Logf("seed %d: class=%s mode=%v nodes=%d crash={node %d, %q, count %d} wire=%+v",
-			sc.Seed, sc.Class, sc.Mode, sc.Nodes, sc.CrashNode, sc.CrashPoint, sc.CrashCount, sc.Wire)
+		t.Logf("seed %d: class=%s nodes=%d crash={node %d, %q, count %d} wire=%+v",
+			sc.Seed, sc.Class, sc.Nodes, sc.CrashNode, sc.CrashPoint, sc.CrashCount, sc.Wire)
 		alt, err := RunFedScenario(sc)
 		if err != nil {
 			t.Fatal(err)

@@ -209,19 +209,3 @@ func TestDifferentialPRED(t *testing.T) {
 		}
 	})
 }
-
-// TestDifferentialCascade cross-checks a slice of the battery under
-// PREDCascade, whose cascading aborts restart through different paths.
-func TestDifferentialCascade(t *testing.T) {
-	seeds := int64(15)
-	if testing.Short() {
-		seeds = 5
-	}
-	for seed := int64(1); seed <= seeds; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			t.Parallel()
-			runDifferential(t, seed, scheduler.PREDCascade)
-		})
-	}
-}

@@ -3,15 +3,21 @@
 // against the (already internally locked) subsystems, while every
 // scheduling decision — conflict-predecessor checks, Lemma-1 commit
 // deferral, Lemma-2/3 recovery ordering, forced-order acyclicity — is
-// taken inside a serial section shared with the pure policy layer
-// (internal/scheduler/policy).
+// taken inside a serial section over the pure policy layer
+// (internal/scheduler/policy). The policy State owns the process table:
+// each procRT embeds its policy.Proc, and the policy-side half of every
+// lifecycle transition (commit-or-defer, failure and abort-begin,
+// recovery-step completion, 2PC finalize, terminate) is a State method
+// the federation hub shares.
 //
 // The sequential discrete-event engine (internal/scheduler) remains the
-// reference oracle: both engines share the identical decision code, so
-// a schedule the runtime produces differs from the oracle's only in
-// interleaving, never in admissibility. The differential test in this
-// package asserts exactly that: every concurrently observed schedule is
-// PRED and per-process terminal outcomes match the oracle.
+// reference oracle: both engines share the identical decision code but
+// not the transition code, so a schedule the runtime produces differs
+// from the oracle's only in interleaving, never in admissibility. The
+// differential test in this package asserts exactly that: every
+// concurrently observed schedule is PRED and per-process terminal
+// outcomes match the oracle. Cascading aborts (PREDCascade) run on the
+// sequential engine only.
 //
 // Concurrency structure (sharded):
 //
@@ -71,8 +77,8 @@ import (
 // Config parameterizes a runtime run.
 type Config struct {
 	// Mode selects the scheduling policy. The runtime supports PRED,
-	// PREDCascade, Serial, Conservative and CCOnly; the weak order of
-	// the sequential engine is not implemented here.
+	// Serial, Conservative and CCOnly; New rejects PREDCascade, and the
+	// weak order of the sequential engine is not implemented here.
 	Mode scheduler.Mode
 	// Log is the write-ahead log; defaults to an in-memory log.
 	Log wal.Log
@@ -158,38 +164,24 @@ type Result struct {
 	ConflictShards int
 }
 
-type procState int
-
-const (
-	psRunning procState = iota
-	psAborting
-	psDone
-)
-
 type preparedTx struct {
 	sub     *subsystem.Subsystem
 	tx      subsystem.TxID
 	service string
 }
 
-// procRT is the runtime of one process; its fields are guarded by the
-// owning group's mutex (the owning worker mutates them only under it).
+// procRT is the runtime of one process; its fields, the embedded
+// policy table entry included, are guarded by the owning group's mutex
+// (the owning worker mutates them only under it).
 type procRT struct {
-	id           process.ID
+	policy.Proc
 	def          *process.Process
-	inst         *process.Instance
-	state        procState
-	arrival      int
 	origin       process.ID
 	restarts     int
-	recovery     []process.Step
-	recoveryBusy bool
-	busySvc      string
 	abortPending bool
 	restartable  bool
 	prepared     map[int]preparedTx
-	running      map[int]string // in-flight invocation: local -> service
-	keySeq       int            // idempotency-key counter (resilient invocations)
+	keySeq       int // idempotency-key counter (resilient invocations)
 	start        time.Time
 	adm          *admEntry
 
@@ -247,12 +239,11 @@ type shardGroup struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	pol      *policy.State
-	procs    []*procRT // admitted, admission order (includes done)
-	byID     map[process.ID]*procRT
-	live     int // workers currently driving a process of this group
-	inFlight int // workers outside the lock doing subsystem work
-	waiting  int // workers blocked on cond (diagnostics)
+	pol      *policy.State          // owns the admission-ordered process table
+	byID     map[process.ID]*procRT // admitted processes (includes done)
+	live     int                    // workers currently driving a process of this group
+	inFlight int                    // workers outside the lock doing subsystem work
+	waiting  int                    // workers blocked on cond (diagnostics)
 
 	// Quiescence detection, per group: progress increments on every
 	// state change that could unblock a member; upToDate counts live
@@ -326,6 +317,9 @@ func New(fed *subsystem.Federation, cfg Config) (*Runtime, error) {
 	table, err := fed.ConflictTable()
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Mode == scheduler.PREDCascade {
+		return nil, fmt.Errorf("runtime: unsupported mode %v (cascading aborts run on the sequential engine only)", cfg.Mode)
 	}
 	cfg = cfg.withDefaults()
 	if cfg.GroupCommit.Enabled() {
@@ -517,21 +511,6 @@ func (r *Runtime) inject(point string) bool {
 	return r.guard(func() { r.cfg.Inject(point) })
 }
 
-func policyMode(m scheduler.Mode) policy.Mode {
-	switch m {
-	case scheduler.PRED:
-		return policy.PRED
-	case scheduler.PREDCascade:
-		return policy.PREDCascade
-	case scheduler.Serial:
-		return policy.Serial
-	case scheduler.Conservative:
-		return policy.Conservative
-	default:
-		return policy.CCOnly
-	}
-}
-
 // buildGroups partitions the jobs into shard groups: union-find over
 // job indices, joining two jobs whenever their footprints share a
 // conflict shard. Jobs with conflict-free footprints get singleton
@@ -577,7 +556,7 @@ func (r *Runtime) buildGroups(jobs []scheduler.Job) []*shardGroup {
 			g = &shardGroup{
 				r:        r,
 				idx:      len(r.groups),
-				pol:      policy.NewShard(r.uni, policy.Config{Mode: policyMode(r.cfg.Mode)}),
+				pol:      policy.NewShard(r.uni, policy.Config{Mode: r.cfg.Mode}),
 				byID:     make(map[process.ID]*procRT),
 				outcomes: make(map[process.ID]*scheduler.Outcome),
 			}
@@ -711,6 +690,16 @@ func addMetrics(dst, src *scheduler.Metrics) {
 	dst.AbortedProcs += src.AbortedProcs
 }
 
+// active iterates the group's non-terminated processes in admission
+// order.
+func (g *shardGroup) active(yield func(*procRT) bool) {
+	for _, p := range g.pol.Procs() {
+		if p.Phase != policy.Done && !yield(g.byID[p.ID]) {
+			return
+		}
+	}
+}
+
 // bump advances the group's progress generation after a state change
 // that may unblock other members, and wakes them to re-evaluate.
 // Called with g.mu held.
@@ -820,30 +809,29 @@ func (r *Runtime) admit(g *shardGroup, def *process.Process, idx int, origin pro
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	rt := &procRT{
-		id:       def.ID,
+		Proc: policy.Proc{
+			ID: def.ID, Arrival: idx, Inst: process.NewInstance(def),
+			InFlight: make(map[int]string),
+		},
 		def:      def,
-		inst:     process.NewInstance(def),
-		arrival:  idx,
 		origin:   origin,
 		restarts: restarts,
 		prepared: make(map[int]preparedTx),
-		running:  make(map[int]string),
 		start:    time.Now(),
 		adm:      ent,
 		lastEval: -1,
 	}
-	g.procs = append(g.procs, rt)
-	g.byID[rt.id] = rt
+	g.pol.Admit(&rt.Proc)
+	g.byID[rt.ID] = rt
 	g.allProcs = append(g.allProcs, def)
-	g.outcomes[rt.id] = &scheduler.Outcome{Restarts: restarts, Start: r.ticksSince(rt.start)}
+	g.outcomes[rt.ID] = &scheduler.Outcome{Restarts: restarts, Start: r.ticksSince(rt.start)}
 	g.live++
-	r.append(wal.Record{Type: wal.RecStart, Proc: string(rt.id)})
+	r.append(wal.Record{Type: wal.RecStart, Proc: string(rt.ID)})
 	r.reg.Inc(metrics.ProcsAdmitted)
 	if restarts > 0 {
 		g.metrics.Restarts++
 		r.reg.Inc(metrics.ProcsRestarted)
 	}
-	g.pol.Bump()
 	g.bump()
 	return rt
 }
@@ -928,8 +916,8 @@ func (g *shardGroup) wait(rt *procRT) bool {
 		r.gmu.Lock()
 		// A victim designation from another group's detector may
 		// already be waiting for us.
-		if r.pendingVictims[rt.id] {
-			delete(r.pendingVictims, rt.id)
+		if r.pendingVictims[rt.ID] {
+			delete(r.pendingVictims, rt.ID)
 			r.gmu.Unlock()
 			g.consumeVictim(rt)
 			return true
@@ -948,15 +936,15 @@ func (g *shardGroup) wait(rt *procRT) bool {
 		}
 		if rt.waitAlts != nil {
 			e := &waitEntry{
-				id: rt.id, alts: rt.waitAlts, g: g, gen: rt.lastEval,
-				arrival: rt.arrival, abortable: rt.state == psRunning && !rt.abortPending,
+				id: rt.ID, alts: rt.waitAlts, g: g, gen: rt.lastEval,
+				arrival: rt.Arrival, abortable: rt.Phase == policy.Running && !rt.abortPending,
 			}
-			r.waits[rt.id] = e
+			r.waits[rt.ID] = e
 			registered = true
 			if v := r.detectDeadlockLocked(e); v != nil {
 				if v.g == g {
 					victim := g.byID[v.id]
-					delete(r.waits, rt.id)
+					delete(r.waits, rt.ID)
 					if extCounted {
 						r.extWaiters--
 					}
@@ -998,14 +986,14 @@ func (g *shardGroup) wait(rt *procRT) bool {
 	if registered || extCounted {
 		r.gmu.Lock()
 		if registered {
-			delete(r.waits, rt.id)
+			delete(r.waits, rt.ID)
 		}
 		if extCounted {
 			r.extWaiters--
 		}
-		pv := r.pendingVictims[rt.id]
+		pv := r.pendingVictims[rt.ID]
 		if pv {
-			delete(r.pendingVictims, rt.id)
+			delete(r.pendingVictims, rt.ID)
 		}
 		r.gmu.Unlock()
 		if pv {
@@ -1024,7 +1012,7 @@ func (g *shardGroup) deregister(rt *procRT, registered, extCounted bool) {
 	r := g.r
 	r.gmu.Lock()
 	if registered {
-		delete(r.waits, rt.id)
+		delete(r.waits, rt.ID)
 	}
 	if extCounted {
 		r.extWaiters--
@@ -1037,7 +1025,7 @@ func (g *shardGroup) deregister(rt *procRT, registered, extCounted bool) {
 // designation that arrives after the process already started aborting
 // (or terminated) is dropped. Called with g.mu held.
 func (g *shardGroup) consumeVictim(rt *procRT) {
-	if rt == nil || rt.state != psRunning || rt.abortPending {
+	if rt == nil || rt.Phase != policy.Running || rt.abortPending {
 		return
 	}
 	rt.abortPending = true
@@ -1054,8 +1042,8 @@ func (g *shardGroup) consumeVictim(rt *procRT) {
 // suppressing the local backstop for them cannot hide a deadlock.
 // Called with g.mu held.
 func (g *shardGroup) crossGroupWait() bool {
-	for _, rt := range g.procs {
-		if rt.state != psDone && rt.extLock && rt.waitAlts != nil {
+	for rt := range g.active {
+		if rt.extLock && rt.waitAlts != nil {
 			return true
 		}
 	}
@@ -1142,8 +1130,8 @@ func (r *Runtime) detectDeadlockLocked(self *waitEntry) *waitEntry {
 // waiting on it could deadlock, so another victim may be taken
 // (bounded by MaxStalls, as in the sequential engine).
 func (g *shardGroup) actionableAbortPending() bool {
-	for _, rt := range g.procs {
-		if rt.state != psDone && rt.abortPending && len(rt.recovery) == 0 && !rt.recoveryBusy && len(rt.running) == 0 {
+	for rt := range g.active {
+		if rt.abortPending && len(rt.Recovery) == 0 && !rt.StepBusy() && len(rt.InFlight) == 0 {
 			return true
 		}
 	}
@@ -1162,24 +1150,24 @@ func (g *shardGroup) resolveStall() *procRT {
 		return nil
 	}
 	var victim *procRT
-	for _, rt := range g.procs {
-		if rt.state != psRunning || len(rt.running) > 0 || rt.recoveryBusy || rt.abortPending {
+	for rt := range g.active {
+		if rt.Phase != policy.Running || len(rt.InFlight) > 0 || rt.StepBusy() || rt.abortPending {
 			continue
 		}
-		if rt.inst.Done() {
+		if rt.Inst.Done() {
 			continue
 		}
-		if victim == nil || rt.arrival > victim.arrival {
+		if victim == nil || rt.Arrival > victim.Arrival {
 			victim = rt
 		}
 	}
 	if victim == nil {
-		for _, rt := range g.procs {
-			if rt.state != psRunning || len(rt.running) > 0 || rt.recoveryBusy || rt.abortPending {
+		for rt := range g.active {
+			if rt.Phase != policy.Running || len(rt.InFlight) > 0 || rt.StepBusy() || rt.abortPending {
 				continue
 			}
-			if rt.inst.Done() && len(rt.prepared) > 0 && g.pol.HasActiveConflictPred(g.view(), rt.id) {
-				if victim == nil || rt.arrival > victim.arrival {
+			if rt.Inst.Done() && len(rt.prepared) > 0 && g.pol.HasActiveConflictPred(rt.ID) {
+				if victim == nil || rt.Arrival > victim.Arrival {
 					victim = rt
 				}
 			}
@@ -1252,8 +1240,8 @@ func (g *shardGroup) driveLocked(rt *procRT) (restart bool) {
 		var key string
 		if r.cfg.Resilience != nil {
 			// Key allocated under the lock: fresh per logical invocation
-			// and per incarnation (rt.id carries the restart suffix).
-			key = fmt.Sprintf("%s#%d", rt.id, rt.keySeq)
+			// and per incarnation (rt.ID carries the restart suffix).
+			key = fmt.Sprintf("%s#%d", rt.ID, rt.keySeq)
 			rt.keySeq++
 		}
 		g.mu.Unlock()
@@ -1269,7 +1257,7 @@ func (g *shardGroup) driveLocked(rt *procRT) (restart bool) {
 		locked := errors.Is(err, subsystem.ErrLocked)
 		failed := subsystem.IsInvocationFailure(err)
 		if err != nil && !locked && !failed {
-			panic(fmt.Sprintf("runtime: invoke %s/%s: %v", rt.id, item.service, err))
+			panic(fmt.Sprintf("runtime: invoke %s/%s: %v", rt.ID, item.service, err))
 		}
 		if !locked {
 			r.sleepTicks(r.cost(item.service) + extraLat)
@@ -1304,10 +1292,9 @@ func (g *shardGroup) driveLocked(rt *procRT) (restart bool) {
 
 func (g *shardGroup) unregister(rt *procRT, item workItem) {
 	if item.isStep {
-		rt.recoveryBusy = false
-		rt.busySvc = ""
+		rt.StepSvc = ""
 	} else {
-		delete(rt.running, item.local)
+		delete(rt.InFlight, item.local)
 	}
 	g.pol.Bump()
 }
@@ -1321,32 +1308,31 @@ func (g *shardGroup) step(rt *procRT) (stepKind, workItem) {
 	rt.waitAlts = nil
 	rt.extLock = false
 	rt.lockProbes = rt.lockProbes[:0]
-	v := g.view()
 	// Recovery steps drain strictly sequentially, before a pending
 	// abort is honoured.
-	if len(rt.recovery) > 0 {
-		st := rt.recovery[0]
+	if len(rt.Recovery) > 0 {
+		st := rt.Recovery[0]
 		switch st.Kind {
 		case process.StepAbortPrepared:
-			rt.recovery = rt.recovery[1:]
+			rt.Recovery = rt.Recovery[1:]
 			if ptx, ok := rt.prepared[st.Local]; ok {
 				if err := ptx.sub.AbortPrepared(ptx.tx); err == nil {
 					g.metrics.Rollbacks++
 					r.reg.Inc(metrics.DeferredRolledBack)
 					r.append(wal.Record{
-						Type: wal.RecResolved, Proc: string(rt.id), Local: st.Local,
+						Type: wal.RecResolved, Proc: string(rt.ID), Local: st.Local,
 						Service: ptx.service, Subsystem: ptx.sub.Name(), Tx: int64(ptx.tx), Commit: false,
 					})
 				}
 				delete(rt.prepared, st.Local)
 			}
-			g.pol.EraseTentative(rt.id, st.Local)
-			_ = rt.inst.ApplyStep(st)
+			g.pol.EraseTentative(rt.ID, st.Local)
+			_ = rt.Inst.ApplyStep(st)
 			g.pol.Bump()
 			r.nudgeRelease()
 			return sAgain, workItem{}
 		case process.StepCompensate:
-			if r.cfg.Mode != scheduler.CCOnly && !g.pol.Lemma2Clear(v, rt.id, st) {
+			if r.cfg.Mode != scheduler.CCOnly && !g.pol.Lemma2Clear(rt.ID, st) {
 				g.metrics.PolicyWaits++
 				return sWait, workItem{}
 			}
@@ -1357,12 +1343,12 @@ func (g *shardGroup) step(rt *procRT) (stepKind, workItem) {
 			return g.register(rt, workItem{local: st.Local, service: st.Service, kind: activity.Compensation, isStep: true, step: st})
 		case process.StepInvoke:
 			if r.cfg.Mode != scheduler.CCOnly {
-				if !g.pol.Lemma3Clear(v, rt.id, st) || !g.pol.Lemma1ClearForward(v, rt.id, st) ||
-					!g.pol.StepForcedClear(v, rt.id, st) {
+				if !g.pol.Lemma3Clear(rt.ID, st) || !g.pol.Lemma1ClearForward(rt.ID, st) ||
+					!g.pol.StepForcedClear(rt.ID, st) {
 					g.metrics.PolicyWaits++
 					return sWait, workItem{}
 				}
-				if _, defer2 := g.pol.DeferToAborting(v, rt.id, st); defer2 {
+				if _, defer2 := g.pol.DeferToAborting(rt.ID, st); defer2 {
 					g.metrics.PolicyWaits++
 					return sWait, workItem{}
 				}
@@ -1376,45 +1362,40 @@ func (g *shardGroup) step(rt *procRT) (stepKind, workItem) {
 		}
 		return sWait, workItem{}
 	}
-	if rt.abortPending && rt.state != psAborting {
-		steps, err := rt.inst.Abort()
-		if err != nil {
-			r.fail(fmt.Errorf("runtime: abort %s: %w", rt.id, err))
+	if rt.abortPending && rt.Phase != policy.Aborting {
+		if err := g.pol.Abort(&rt.Proc, r.nextSeq()); err != nil {
+			r.fail(fmt.Errorf("runtime: abort %s: %w", rt.ID, err))
 			return sDone, workItem{}
 		}
 		rt.abortPending = false
-		rt.state = psAborting
-		rt.recovery = steps
-		r.append(wal.Record{Type: wal.RecAbortBegin, Proc: string(rt.id)})
+		r.append(wal.Record{Type: wal.RecAbortBegin, Proc: string(rt.ID)})
 		r.reg.Inc(metrics.BackwardRecoveries)
-		g.pol.AppendEvent(&policy.Event{Seq: r.seq.Add(1), Proc: rt.id, Typ: schedule.AbortBegin})
-		g.cascadeDependents(rt)
 		return sAgain, workItem{}
 	}
-	if rt.state == psAborting {
+	if rt.Phase == policy.Aborting {
 		// Completion drained: roll back leftovers and terminate.
 		for l, ptx := range rt.prepared {
 			if err := ptx.sub.AbortPrepared(ptx.tx); err == nil {
 				g.metrics.Rollbacks++
 				r.reg.Inc(metrics.DeferredRolledBack)
 				r.append(wal.Record{
-					Type: wal.RecResolved, Proc: string(rt.id), Local: l,
+					Type: wal.RecResolved, Proc: string(rt.ID), Local: l,
 					Service: ptx.service, Subsystem: ptx.sub.Name(), Tx: int64(ptx.tx), Commit: false,
 				})
 			}
-			g.pol.EraseTentative(rt.id, l)
+			g.pol.EraseTentative(rt.ID, l)
 			delete(rt.prepared, l)
 		}
 		g.terminate(rt, false)
 		return sDone, workItem{}
 	}
-	if rt.inst.Done() {
+	if rt.Inst.Done() {
 		if len(rt.prepared) > 0 {
-			if g.pol.HasActiveConflictPred(v, rt.id) {
+			if g.pol.HasActiveConflictPred(rt.ID) {
 				// Lemma 1: hold the 2PC commit. The wait resolves only
 				// when every active conflict predecessor terminated —
 				// one AND-alternative for the deadlock detector.
-				rt.waitAlts = [][]process.ID{g.pol.ActiveConflictPreds(v, rt.id)}
+				rt.waitAlts = [][]process.ID{g.pol.ActiveConflictPreds(rt.ID)}
 				return sWait, workItem{}
 			}
 			if !g.commitPreparedSet(rt) {
@@ -1434,8 +1415,8 @@ func (g *shardGroup) step(rt *procRT) (stepKind, workItem) {
 	// disjunction below — parallel branches may keep executing.
 	var deferAlt []process.ID
 	if midProcessPrepared(rt) {
-		if g.pol.HasActiveConflictPred(v, rt.id) {
-			deferAlt = g.pol.ActiveConflictPreds(v, rt.id)
+		if g.pol.HasActiveConflictPred(rt.ID) {
+			deferAlt = g.pol.ActiveConflictPreds(rt.ID)
 		} else {
 			if !g.commitPreparedSet(rt) {
 				return sWait, workItem{} // injected crash mid-2PC
@@ -1447,16 +1428,16 @@ func (g *shardGroup) step(rt *procRT) (stepKind, workItem) {
 	// branches: pick the first dispatchable frontier activity.
 	var blocked [][]process.ID
 	complete := true
-	for _, local := range rt.inst.Frontier() {
+	for _, local := range rt.Inst.Frontier() {
 		a := rt.def.Activity(local)
 		if !predsCommitted(rt, local) {
 			complete = false
 			continue
 		}
-		if ok, _ := g.pol.MayDispatch(v, rt.id, a); !ok {
+		if ok, _ := g.pol.MayDispatch(rt.ID, a); !ok {
 			g.metrics.PolicyWaits++
 			r.reg.Inc(metrics.InvokePolicyBlocked)
-			if bs := g.pol.DispatchBlockers(v, rt.id, a); len(bs) > 0 {
+			if bs := g.pol.DispatchBlockers(rt.ID, a); len(bs) > 0 {
 				blocked = append(blocked, bs)
 			} else {
 				complete = false // denial without pred-wait semantics
@@ -1503,7 +1484,7 @@ func (g *shardGroup) step(rt *procRT) (stepKind, workItem) {
 // frontier waiting for it.
 func midProcessPrepared(rt *procRT) bool {
 	for l := range rt.prepared {
-		if rt.inst.Status(l) == process.Prepared {
+		if rt.Inst.Status(l) == process.Prepared {
 			return true
 		}
 	}
@@ -1533,13 +1514,12 @@ func (g *shardGroup) register(rt *procRT, item workItem) (stepKind, workItem) {
 		return sAgain, workItem{} // crash tripped; drive's loop head exits
 	}
 	if item.isStep {
-		rt.recoveryBusy = true
-		rt.busySvc = item.service
+		rt.StepSvc = item.service
 	} else {
-		rt.running[item.local] = item.service
+		rt.InFlight[item.local] = item.service
 	}
 	g.pol.Bump()
-	if !r.append(wal.Record{Type: wal.RecDispatch, Proc: string(rt.id), Local: item.local, Service: item.service}) {
+	if !r.append(wal.Record{Type: wal.RecDispatch, Proc: string(rt.ID), Local: item.local, Service: item.service}) {
 		g.unregister(rt, item)
 		return sAgain, workItem{}
 	}
@@ -1549,7 +1529,7 @@ func (g *shardGroup) register(rt *procRT, item workItem) (stepKind, workItem) {
 
 func predsCommitted(rt *procRT, local int) bool {
 	for _, h := range rt.def.Preds(local) {
-		if rt.inst.Status(h) != process.Committed {
+		if rt.Inst.Status(h) != process.Committed {
 			return false
 		}
 	}
@@ -1571,51 +1551,44 @@ func (g *shardGroup) complete(rt *procRT, item workItem, res *subsystem.Result, 
 		if item.kind.GuaranteedToCommit() {
 			g.metrics.Retries++
 			r.reg.Inc(metrics.RetriesTransient)
-			r.append(wal.Record{Type: wal.RecOutcome, Proc: string(rt.id), Local: item.local, Service: item.service, Outcome: "aborted"})
+			r.append(wal.Record{Type: wal.RecOutcome, Proc: string(rt.ID), Local: item.local, Service: item.service, Outcome: "aborted"})
 			return
 		}
 		g.permanentFailure(rt, item)
 		return
 	}
 	if !r.append(wal.Record{
-		Type: wal.RecOutcome, Proc: string(rt.id), Local: item.local, Service: item.service,
+		Type: wal.RecOutcome, Proc: string(rt.ID), Local: item.local, Service: item.service,
 		Subsystem: r.subsystemOf(item.service), Tx: int64(res.Tx), Outcome: "prepared",
 	}) {
 		return // crashed: the transaction stays in doubt for recovery
 	}
 	sub, _ := r.fed.Owner(item.service)
-	seq := r.seq.Add(1)
-	if g.commitImmediately(rt, item.kind) {
+	seq := r.nextSeq()
+	if g.pol.CommitNow(&rt.Proc, item.kind) {
 		if err := sub.CommitPrepared(res.Tx); err != nil {
-			r.fail(fmt.Errorf("runtime: commit %s/%s: %w", rt.id, item.service, err))
+			r.fail(fmt.Errorf("runtime: commit %s/%s: %w", rt.ID, item.service, err))
 			return
 		}
 		r.append(wal.Record{
-			Type: wal.RecResolved, Proc: string(rt.id), Local: item.local,
+			Type: wal.RecResolved, Proc: string(rt.ID), Local: item.local,
 			Service: item.service, Subsystem: sub.Name(), Tx: int64(res.Tx), Commit: true,
 		})
-		if err := rt.inst.MarkCommitted(item.local); err != nil {
+		if err := g.pol.Commit(&rt.Proc, item.local, item.service, item.kind, seq); err != nil {
 			r.fail(fmt.Errorf("runtime: %w", err))
 			return
 		}
-		g.pol.AppendEvent(&policy.Event{
-			Seq: seq, Proc: rt.id, Local: item.local, Service: item.service, Kind: item.kind, Typ: schedule.Invoke,
-		})
 		r.reg.Inc(metrics.CommitsImmediate)
 		r.nudgeRelease()
-	} else {
-		g.metrics.Deferrals++
-		r.reg.Inc(metrics.CommitsDeferred)
-		if err := rt.inst.MarkPrepared(item.local); err != nil {
-			r.fail(fmt.Errorf("runtime: %w", err))
-			return
-		}
-		rt.prepared[item.local] = preparedTx{sub: sub, tx: res.Tx, service: item.service}
-		g.pol.AppendEvent(&policy.Event{
-			Seq: seq, Proc: rt.id, Local: item.local, Service: item.service, Kind: item.kind,
-			Typ: schedule.Invoke, Tentative: true,
-		})
+		return
 	}
+	g.metrics.Deferrals++
+	r.reg.Inc(metrics.CommitsDeferred)
+	if err := g.pol.Defer(&rt.Proc, item.local, item.service, item.kind, seq); err != nil {
+		r.fail(fmt.Errorf("runtime: %w", err))
+		return
+	}
+	rt.prepared[item.local] = preparedTx{sub: sub, tx: res.Tx, service: item.service}
 }
 
 // noteCompletion counts one finished invocation and wakes backoff
@@ -1625,18 +1598,6 @@ func (r *Runtime) noteCompletion() {
 	r.completions++
 	r.gcond.Broadcast()
 	r.gmu.Unlock()
-}
-
-func (g *shardGroup) commitImmediately(rt *procRT, kind activity.Kind) bool {
-	if kind == activity.Compensatable {
-		return true
-	}
-	switch g.r.cfg.Mode {
-	case scheduler.CCOnly, scheduler.Serial, scheduler.Conservative:
-		return true
-	default:
-		return !g.pol.HasActiveConflictPred(g.view(), rt.id)
-	}
 }
 
 func (r *Runtime) subsystemOf(service string) string {
@@ -1650,48 +1611,22 @@ func (r *Runtime) subsystemOf(service string) string {
 // or pivot activity.
 func (g *shardGroup) permanentFailure(rt *procRT, item workItem) {
 	r := g.r
-	r.append(wal.Record{Type: wal.RecFailed, Proc: string(rt.id), Local: item.local, Service: item.service})
-	g.pol.AppendEvent(&policy.Event{
-		Seq: r.seq.Add(1), Proc: rt.id, Local: item.local, Service: item.service, Kind: item.kind, Typ: schedule.FailedInvoke,
-	})
-	plan, err := rt.inst.MarkFailed(item.local)
-	if err != nil {
+	r.append(wal.Record{Type: wal.RecFailed, Proc: string(rt.ID), Local: item.local, Service: item.service})
+	aborting, err := g.pol.Fail(&rt.Proc, item.local, item.service, item.kind, r.nextSeq(), rt.abortPending, r.nextSeq)
+	switch {
+	case err != nil:
 		r.fail(fmt.Errorf("runtime: %w", err))
-		return
-	}
-	if rt.abortPending {
-		return // the queued abort supersedes the local plan
-	}
-	if plan.Abort {
+	case aborting:
 		rt.restartable = false
-		rt.state = psAborting
-		rt.recovery = plan.Steps
-		r.append(wal.Record{Type: wal.RecAbortBegin, Proc: string(rt.id)})
+		r.append(wal.Record{Type: wal.RecAbortBegin, Proc: string(rt.ID)})
 		r.reg.Inc(metrics.BackwardRecoveries)
-		g.pol.AppendEvent(&policy.Event{Seq: r.seq.Add(1), Proc: rt.id, Typ: schedule.AbortBegin})
-		g.cascadeDependents(rt)
-		return
+	case !rt.abortPending:
+		r.reg.Inc(metrics.ForwardRecoveries)
 	}
-	rt.recovery = plan.Steps
-	r.reg.Inc(metrics.ForwardRecoveries)
 }
 
-// cascadeDependents marks conflicting dependents of an unwinding
-// process for cascading abort (PREDCascade mode only). Dependents
-// always conflict with the unwinding process, so they live in the same
-// group.
-func (g *shardGroup) cascadeDependents(rt *procRT) {
-	for _, id := range g.pol.CascadeVictims(g.view(), rt.id, rt.recovery) {
-		q := g.byID[id]
-		if q == nil || q.state != psRunning || q.abortPending {
-			continue
-		}
-		g.metrics.Cascades++
-		g.r.reg.Inc(metrics.CascadeAborts)
-		q.abortPending = true
-		q.restartable = true
-	}
-}
+// nextSeq draws the next global event sequence number.
+func (r *Runtime) nextSeq() int64 { return r.seq.Add(1) }
 
 // completeStep handles a finished recovery-step invocation.
 func (g *shardGroup) completeStep(rt *procRT, item workItem, res *subsystem.Result, failed bool) {
@@ -1711,12 +1646,12 @@ func (g *shardGroup) completeStep(rt *procRT, item workItem, res *subsystem.Resu
 	switch item.step.Kind {
 	case process.StepCompensate:
 		logged = r.append(wal.Record{
-			Type: wal.RecCompensate, Proc: string(rt.id), Local: item.local, Service: item.service,
+			Type: wal.RecCompensate, Proc: string(rt.ID), Local: item.local, Service: item.service,
 			Subsystem: sub.Name(), Tx: int64(res.Tx),
 		})
 	case process.StepInvoke:
 		logged = r.append(wal.Record{
-			Type: wal.RecOutcome, Proc: string(rt.id), Local: item.local, Service: item.service,
+			Type: wal.RecOutcome, Proc: string(rt.ID), Local: item.local, Service: item.service,
 			Subsystem: sub.Name(), Tx: int64(res.Tx), Outcome: "committed",
 		})
 	}
@@ -1724,28 +1659,14 @@ func (g *shardGroup) completeStep(rt *procRT, item workItem, res *subsystem.Resu
 		return // crashed: the step never happened as far as the log knows
 	}
 	if err := sub.CommitPrepared(res.Tx); err != nil {
-		r.fail(fmt.Errorf("runtime: commit step %s/%s: %w", rt.id, item.service, err))
+		r.fail(fmt.Errorf("runtime: commit step %s/%s: %w", rt.ID, item.service, err))
 		return
 	}
-	if len(rt.recovery) > 0 && rt.recovery[0] == item.step {
-		rt.recovery = rt.recovery[1:]
-	}
-	seq := r.seq.Add(1)
-	switch item.step.Kind {
-	case process.StepCompensate:
+	if item.step.Kind == process.StepCompensate {
 		g.metrics.Compensations++
 		r.reg.Inc(metrics.CompensationsIssued)
-		g.pol.MarkCompensated(rt.id, item.local)
-		g.pol.AppendEvent(&policy.Event{
-			Seq: seq, Proc: rt.id, Local: item.local, Service: item.service,
-			Kind: activity.Compensation, Typ: schedule.Invoke, Inverse: true,
-		})
-	case process.StepInvoke:
-		g.pol.AppendEvent(&policy.Event{
-			Seq: seq, Proc: rt.id, Local: item.local, Service: item.service, Kind: item.kind, Typ: schedule.Invoke,
-		})
 	}
-	if err := rt.inst.ApplyStep(item.step); err != nil {
+	if err := g.pol.StepDone(&rt.Proc, item.step, item.kind, r.nextSeq()); err != nil {
 		r.fail(fmt.Errorf("runtime: %w", err))
 		return
 	}
@@ -1759,7 +1680,7 @@ func (g *shardGroup) commitPreparedSet(rt *procRT) bool {
 	r := g.r
 	locals := make([]int, 0, len(rt.prepared))
 	for l := range rt.prepared {
-		if rt.inst.Status(l) == process.Prepared {
+		if rt.Inst.Status(l) == process.Prepared {
 			locals = append(locals, l)
 		}
 	}
@@ -1771,36 +1692,33 @@ func (g *shardGroup) commitPreparedSet(rt *procRT) bool {
 	for _, l := range locals {
 		ptx := rt.prepared[l]
 		parts = append(parts, twopc.Participant{
-			Sub: ptx.sub, Tx: ptx.tx, Proc: string(rt.id), Local: l, Service: ptx.service,
+			Sub: ptx.sub, Tx: ptx.tx, Proc: string(rt.ID), Local: l, Service: ptx.service,
 		})
 	}
 	var cerr error
-	if !r.guard(func() { cerr = r.coord.CommitAll(string(rt.id), parts) }) {
+	if !r.guard(func() { cerr = r.coord.CommitAll(string(rt.ID), parts) }) {
 		return false // injected crash mid-2PC; recovery finishes the job
 	}
 	if cerr != nil {
-		r.fail(fmt.Errorf("runtime: 2PC commit of %s: %w", rt.id, cerr))
+		r.fail(fmt.Errorf("runtime: 2PC commit of %s: %w", rt.ID, cerr))
 		return false
 	}
 	for _, l := range locals {
 		g.metrics.TwoPCCommits++
 		r.reg.Inc(metrics.DeferredCommitted2PC)
-		if err := rt.inst.MarkCommitted(l); err != nil {
+		if err := g.pol.Finalize(&rt.Proc, l, r.nextSeq()); err != nil {
 			r.fail(fmt.Errorf("runtime: %w", err))
 			return false
 		}
-		g.pol.FinalizeTentative(rt.id, l, r.seq.Add(1))
 		delete(rt.prepared, l)
 	}
-	g.pol.Bump()
 	return true
 }
 
 // terminate emits the terminal event. Called with g.mu held.
 func (g *shardGroup) terminate(rt *procRT, committed bool) {
 	r := g.r
-	rt.state = psDone
-	out := g.outcomes[rt.id]
+	out := g.outcomes[rt.ID]
 	out.End = r.ticksSince(time.Now())
 	out.Committed = committed
 	out.Aborted = !committed
@@ -1812,13 +1730,12 @@ func (g *shardGroup) terminate(rt *procRT, committed bool) {
 		r.reg.Inc(metrics.ProcsAborted)
 	}
 	r.reg.Observe(metrics.HistProcDuration, r.ticksSince(time.Now())-out.Start)
-	r.append(wal.Record{Type: wal.RecTerminate, Proc: string(rt.id), Committed: committed})
-	g.pol.AppendEvent(&policy.Event{Seq: r.seq.Add(1), Proc: rt.id, Typ: schedule.Terminate, Committed: committed})
-	rt.inst.MarkTerminated(committed)
+	r.append(wal.Record{Type: wal.RecTerminate, Proc: string(rt.ID), Committed: committed})
+	g.pol.Terminate(&rt.Proc, committed, r.nextSeq())
 	r.gmu.Lock()
 	r.active--
 	rt.adm.done = true
-	if r.liveByOrigin[rt.origin] == rt.id {
+	if r.liveByOrigin[rt.origin] == rt.ID {
 		delete(r.liveByOrigin, rt.origin)
 	}
 	r.gcond.Broadcast()
@@ -1827,70 +1744,6 @@ func (g *shardGroup) terminate(rt *procRT, committed bool) {
 	// or rollback of its prepared set happened on the way here); waiters
 	// in other groups only learn about it through a nudge.
 	r.nudgeRelease()
-}
-
-// view adapts the group's process table to the policy View.
-type rtView struct{ g *shardGroup }
-
-func (g *shardGroup) view() policy.View { return rtView{g} }
-
-func (v rtView) Procs() []process.ID {
-	out := make([]process.ID, len(v.g.procs))
-	for i, rt := range v.g.procs {
-		out[i] = rt.id
-	}
-	return out
-}
-
-func (v rtView) Phase(id process.ID) policy.Phase {
-	rt := v.g.byID[id]
-	if rt == nil {
-		return policy.Done
-	}
-	switch rt.state {
-	case psRunning:
-		return policy.Running
-	case psAborting:
-		return policy.Aborting
-	default:
-		return policy.Done
-	}
-}
-
-func (v rtView) Arrival(id process.ID) int {
-	if rt := v.g.byID[id]; rt != nil {
-		return rt.arrival
-	}
-	return 0
-}
-
-func (v rtView) Instance(id process.ID) *process.Instance {
-	if rt := v.g.byID[id]; rt != nil {
-		return rt.inst
-	}
-	return nil
-}
-
-func (v rtView) RecoverySteps(id process.ID) []process.Step {
-	if rt := v.g.byID[id]; rt != nil {
-		return rt.recovery
-	}
-	return nil
-}
-
-func (v rtView) InFlight(id process.ID) []string {
-	rt := v.g.byID[id]
-	if rt == nil {
-		return nil
-	}
-	out := make([]string, 0, len(rt.running)+1)
-	for _, svc := range rt.running {
-		out = append(out, svc)
-	}
-	if rt.recoveryBusy && rt.busySvc != "" {
-		out = append(out, rt.busySvc)
-	}
-	return out
 }
 
 // stallDump renders the group state for stall diagnostics.
@@ -1902,12 +1755,9 @@ func (g *shardGroup) stallDump() string {
 	r.gmu.Unlock()
 	s := fmt.Sprintf("group=%d shards=%v live=%d active=%d inFlight=%d waiting=%d victims=%d progress=%d\n",
 		g.idx, g.shards, g.live, active, g.inFlight, g.waiting, victims, g.progress.Load())
-	for _, rt := range g.procs {
-		if rt.state == psDone {
-			continue
-		}
+	for rt := range g.active {
 		s += fmt.Sprintf("  %s state=%d mode=%v done=%v running=%d recovery=%d busy=%v abortPending=%v prepared=%d frontier=%v\n",
-			rt.id, rt.state, rt.inst.Mode(), rt.inst.Done(), len(rt.running), len(rt.recovery), rt.recoveryBusy, rt.abortPending, len(rt.prepared), rt.inst.Frontier())
+			rt.ID, rt.Phase, rt.Inst.Mode(), rt.Inst.Done(), len(rt.InFlight), len(rt.Recovery), rt.StepBusy(), rt.abortPending, len(rt.prepared), rt.Inst.Frontier())
 	}
 	for _, k := range g.pol.EdgeList() {
 		s += fmt.Sprintf("  edge %s->%s\n", k[0], k[1])

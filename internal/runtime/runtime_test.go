@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -45,10 +46,16 @@ func TestRuntimeZeroFailure(t *testing.T) {
 
 // TestRuntimeModes exercises every supported mode on one workload and
 // checks full termination plus the PRED invariant for the PRED family.
+// PREDCascade is rejected: cascading aborts run on the sequential
+// engine only.
 func TestRuntimeModes(t *testing.T) {
 	t.Parallel()
+	if _, err := runtime.New(workload.MustGenerate(workload.DefaultProfile(1)).Fed,
+		runtime.Config{Mode: scheduler.PREDCascade}); err == nil || !strings.Contains(err.Error(), "pred-cascade") {
+		t.Fatalf("PREDCascade: err = %v, want an unsupported-mode error naming the mode", err)
+	}
 	modes := []scheduler.Mode{
-		scheduler.PRED, scheduler.PREDCascade, scheduler.Serial,
+		scheduler.PRED, scheduler.Serial,
 		scheduler.Conservative, scheduler.CCOnly,
 	}
 	for _, mode := range modes {

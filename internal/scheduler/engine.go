@@ -21,15 +21,6 @@ import (
 // reached; federation and log state survive for Recover.
 var ErrCrashed = errors.New("scheduler: injected crash")
 
-// procState is the engine-level state of a process.
-type procState int
-
-const (
-	psRunning procState = iota
-	psAborting
-	psDone
-)
-
 // preparedTx remembers an in-doubt local transaction per activity.
 type preparedTx struct {
 	sub     *subsystem.Subsystem
@@ -39,28 +30,22 @@ type preparedTx struct {
 	weak    bool  // invoked under the weak order
 }
 
-// procRT is the runtime of one process.
+// procRT is the runtime of one process; its policy-visible part is
+// the embedded table entry.
 type procRT struct {
-	id      process.ID
-	def     *process.Process
-	inst    *process.Instance
-	state   procState
-	arrival int
+	policy.Proc
+	def *process.Process
 
-	arrivalTime     int64
-	recovery        []process.Step // queued recovery steps (sequential)
-	recoveryBusy    bool           // a recovery step is in flight
-	recoveryBusySvc string
-	abortPending    bool       // abort requested, waiting for in-flight work
-	restartable     bool       // restart after the pending abort completes
-	origin          process.ID // subsystem identity (all restart suffixes stripped)
-	base            process.ID // admitted job id restarts derive from ("base+rN")
-	restarts        int
-	prepared        map[int]preparedTx
-	running         map[int]string // in-flight invocations: local -> service
-	attempts        map[int]int
-	keySeq          int // idempotency-key counter (resilient invocations)
-	start, end      int64
+	arrivalTime  int64
+	abortPending bool       // abort requested, waiting for in-flight work
+	restartable  bool       // restart after the pending abort completes
+	origin       process.ID // subsystem identity (all restart suffixes stripped)
+	base         process.ID // admitted job id restarts derive from ("base+rN")
+	restarts     int
+	prepared     map[int]preparedTx
+	attempts     map[int]int
+	keySeq       int // idempotency-key counter (resilient invocations)
+	start, end   int64
 	// blockedSince is the clock at which the finished process first
 	// found its deferred 2PC commit blocked by an active conflicting
 	// predecessor (-1 while not blocked); feeds HistProcBlocked.
@@ -118,9 +103,8 @@ type Engine struct {
 	clock   int64
 	seq     int64
 	queue   completionHeap
-	procs   []*procRT
-	byID    map[process.ID]*procRT
-	pending []*procRT // not yet admitted (Serial/Conservative gating)
+	byID    map[process.ID]*procRT // admitted processes (the policy owns their order)
+	pending []*procRT              // not yet admitted (Serial/Conservative gating)
 
 	metrics     Metrics
 	reg         *metrics.Registry // observability registry (nil = no-op)
@@ -136,92 +120,21 @@ type Engine struct {
 	ckptBusy    bool // a checkpoint append must not recurse
 }
 
-// engView adapts the engine's process table to the policy's View.
-type engView struct{ e *Engine }
-
-func (v engView) Procs() []process.ID {
-	out := make([]process.ID, len(v.e.procs))
-	for i, rt := range v.e.procs {
-		out[i] = rt.id
-	}
-	return out
-}
-
-func (v engView) Phase(id process.ID) policy.Phase {
-	rt := v.e.byID[id]
-	if rt == nil {
-		return policy.Done
-	}
-	switch rt.state {
-	case psRunning:
-		return policy.Running
-	case psAborting:
-		return policy.Aborting
-	default:
-		return policy.Done
+// active iterates the non-terminated admitted processes in admission
+// order.
+func (e *Engine) active(yield func(*procRT) bool) {
+	for _, p := range e.pol.Procs() {
+		if p.Phase != policy.Done && !yield(e.byID[p.ID]) {
+			return
+		}
 	}
 }
-
-func (v engView) Arrival(id process.ID) int {
-	if rt := v.e.byID[id]; rt != nil {
-		return rt.arrival
-	}
-	return 0
-}
-
-func (v engView) Instance(id process.ID) *process.Instance {
-	if rt := v.e.byID[id]; rt != nil {
-		return rt.inst
-	}
-	return nil
-}
-
-func (v engView) RecoverySteps(id process.ID) []process.Step {
-	if rt := v.e.byID[id]; rt != nil {
-		return rt.recovery
-	}
-	return nil
-}
-
-func (v engView) InFlight(id process.ID) []string {
-	rt := v.e.byID[id]
-	if rt == nil {
-		return nil
-	}
-	out := make([]string, 0, len(rt.running)+1)
-	for _, svc := range rt.running {
-		out = append(out, svc)
-	}
-	if rt.recoveryBusy && rt.recoveryBusySvc != "" {
-		out = append(out, rt.recoveryBusySvc)
-	}
-	return out
-}
-
-// view returns the policy view over the engine.
-func (e *Engine) view() policy.View { return engView{e} }
 
 // bump invalidates the policy's forced-graph cache.
 func (e *Engine) bump() { e.pol.Bump() }
 
 // conflicts is the memoized conflict check shared with the policy.
 func (e *Engine) conflicts(a, b string) bool { return e.pol.Conflicts(a, b) }
-
-// policyMode maps the engine mode onto the policy layer's mode.
-func policyMode(m Mode) policy.Mode {
-	switch m {
-	case PRED:
-		return policy.PRED
-	case PREDCascade:
-		return policy.PREDCascade
-	case Serial:
-		return policy.Serial
-	case Conservative:
-		return policy.Conservative
-	default:
-		return policy.CCOnly
-	}
-}
 
 // New creates an engine over the federation. The conflict table is
 // derived from the subsystems' declared read/write sets.
@@ -241,7 +154,7 @@ func New(fed *subsystem.Federation, cfg Config) (*Engine, error) {
 		log:      cfg.Log,
 		coord:    twopc.New(cfg.Log),
 		reg:      cfg.Metrics,
-		pol:      policy.New(table, policy.Config{Mode: policyMode(cfg.Mode), BlockPivots: cfg.BlockPivots}),
+		pol:      policy.New(table, policy.Config{Mode: cfg.Mode, BlockPivots: cfg.BlockPivots}),
 		byID:     make(map[process.ID]*procRT),
 		outcomes: make(map[process.ID]*Outcome),
 	}
@@ -485,14 +398,13 @@ func (e *Engine) RunJobs(jobs []Job) (res *Result, err error) {
 
 func (e *Engine) newRT(p *process.Process, arrival int, origin process.ID) *procRT {
 	rt := &procRT{
-		id:           p.ID,
+		Proc: policy.Proc{
+			ID: p.ID, Arrival: arrival, Inst: process.NewInstance(p),
+			InFlight: make(map[int]string),
+		},
 		def:          p,
-		inst:         process.NewInstance(p),
-		state:        psRunning,
-		arrival:      arrival,
 		origin:       origin,
 		prepared:     make(map[int]preparedTx),
-		running:      make(map[int]string),
 		attempts:     make(map[int]int),
 		start:        e.clock,
 		blockedSince: -1,
@@ -509,22 +421,19 @@ func (e *Engine) admit() bool {
 	admitted := false
 	for _, rt := range e.pending {
 		if e.mayStart(rt) {
-			e.procs = append(e.procs, rt)
-			e.byID[rt.id] = rt
+			e.pol.Admit(&rt.Proc)
+			e.byID[rt.ID] = rt
 			rt.start = e.clock
-			e.outcomes[rt.id].Start = e.clock
-			e.append(wal.Record{Type: wal.RecStart, Proc: string(rt.id)})
+			e.outcomes[rt.ID].Start = e.clock
+			e.append(wal.Record{Type: wal.RecStart, Proc: string(rt.ID)})
 			e.reg.Inc(metrics.ProcsAdmitted)
-			e.reg.Trace(metrics.TAdmit, e.clock, string(rt.id), 0, "", "")
+			e.reg.Trace(metrics.TAdmit, e.clock, string(rt.ID), 0, "", "")
 			admitted = true
 		} else {
 			keep = append(keep, rt)
 		}
 	}
 	e.pending = keep
-	if admitted {
-		e.bump()
-	}
 	return admitted
 }
 
@@ -548,20 +457,15 @@ func (e *Engine) mayStart(rt *procRT) bool {
 	}
 	switch e.cfg.Mode {
 	case Serial:
-		for _, o := range e.procs {
-			if o.state != psDone {
-				return false
-			}
+		for range e.active {
+			return false
 		}
 		return true
 	case Conservative:
 		// Admit only when the process's full service footprint does not
 		// conflict with that of any running process.
 		mine := Footprint(rt.def)
-		for _, o := range e.procs {
-			if o.state == psDone {
-				continue
-			}
+		for o := range e.active {
 			for _, s1 := range mine {
 				for _, s2 := range Footprint(o.def) {
 					if e.table.Conflicts(s1, s2) {
@@ -593,10 +497,8 @@ func (e *Engine) allDone() bool {
 	if len(e.pending) > 0 {
 		return false
 	}
-	for _, rt := range e.procs {
-		if rt.state != psDone {
-			return false
-		}
+	for range e.active {
+		return false
 	}
 	return true
 }
@@ -615,10 +517,7 @@ func (e *Engine) cost(service string) int64 {
 // occurred.
 func (e *Engine) dispatchAll() bool {
 	progressed := false
-	for _, rt := range e.procs {
-		if rt.state == psDone {
-			continue
-		}
+	for rt := range e.active {
 		if e.dispatchProc(rt) {
 			progressed = true
 		}
@@ -630,33 +529,33 @@ func (e *Engine) dispatchProc(rt *procRT) bool {
 	// Recovery steps run strictly sequentially and drain before a
 	// pending abort is honoured (the instance's alternative bookkeeping
 	// must settle before the completion is computed).
-	if len(rt.recovery) > 0 {
-		if rt.recoveryBusy {
+	if len(rt.Recovery) > 0 {
+		if rt.StepBusy() {
 			return false
 		}
 		return e.dispatchRecoveryStep(rt)
 	}
 	// Abort requested while work was in flight: start it when drained.
-	if rt.abortPending && len(rt.running) == 0 && !rt.recoveryBusy && rt.state != psAborting {
+	if rt.abortPending && len(rt.InFlight) == 0 && !rt.StepBusy() && rt.Phase != policy.Aborting {
 		if err := e.beginAbort(rt); err == nil {
 			return true
 		}
 		return false
 	}
-	if rt.state == psAborting {
-		if rt.recoveryBusy || len(rt.running) > 0 {
+	if rt.Phase == policy.Aborting {
+		if rt.StepBusy() || len(rt.InFlight) > 0 {
 			return false
 		}
 		e.finishAbort(rt)
 		return true
 	}
 	// Regular execution: finish or dispatch frontier activities.
-	if rt.inst.Done() && len(rt.running) == 0 {
+	if rt.Inst.Done() && len(rt.InFlight) == 0 {
 		return e.tryFinish(rt)
 	}
 	progressed := false
-	for _, local := range rt.inst.Frontier() {
-		if _, inFlight := rt.running[local]; inFlight {
+	for _, local := range rt.Inst.Frontier() {
+		if _, inFlight := rt.InFlight[local]; inFlight {
 			continue
 		}
 		a := rt.def.Activity(local)
@@ -667,10 +566,10 @@ func (e *Engine) dispatchProc(rt *procRT) bool {
 		if !e.predsCommitted(rt, local) {
 			continue
 		}
-		if ok, why := e.pol.MayDispatch(e.view(), rt.id, a); !ok {
+		if ok, why := e.pol.MayDispatch(rt.ID, a); !ok {
 			e.metrics.PolicyWaits++
 			e.reg.Inc(metrics.InvokePolicyBlocked)
-			e.reg.Trace(metrics.TPolicyWait, e.clock, string(rt.id), local, a.Service, why)
+			e.reg.Trace(metrics.TPolicyWait, e.clock, string(rt.ID), local, a.Service, why)
 			continue
 		}
 		if e.invoke(rt, local, a.Service, a.Kind, false, process.Step{}) {
@@ -682,7 +581,7 @@ func (e *Engine) dispatchProc(rt *procRT) bool {
 
 func (e *Engine) predsCommitted(rt *procRT, local int) bool {
 	for _, h := range rt.def.Preds(local) {
-		if rt.inst.Status(h) != process.Committed {
+		if rt.Inst.Status(h) != process.Committed {
 			return false
 		}
 	}
@@ -729,7 +628,7 @@ func (e *Engine) invoke(rt *procRT, local int, service string, kind activity.Kin
 					e.metrics.Invocations++
 					e.metrics.LockWaits++
 					e.reg.Inc(metrics.InvokeLockBlocked)
-					e.reg.Trace(metrics.TLockWait, e.clock, string(rt.id), local, service, "weak-order dependency on non-compensatable")
+					e.reg.Trace(metrics.TLockWait, e.clock, string(rt.ID), local, service, "weak-order dependency on non-compensatable")
 					return false
 				}
 			}
@@ -738,9 +637,9 @@ func (e *Engine) invoke(rt *procRT, local int, service string, kind activity.Kin
 		e.reg.Add(metrics.WeakDeps, int64(len(deps)))
 	} else if e.cfg.Resilience != nil {
 		// Idempotency key: fresh per logical invocation (keySeq) and per
-		// incarnation (rt.id carries the restart suffix), reused by the
+		// incarnation (rt.ID carries the restart suffix), reused by the
 		// layer across transport attempts of this one invocation.
-		key := fmt.Sprintf("%s#%d", rt.id, rt.keySeq)
+		key := fmt.Sprintf("%s#%d", rt.ID, rt.keySeq)
 		rt.keySeq++
 		res, extraLat, err = e.cfg.Resilience.InvokeResilient(
 			string(rt.origin), service, kind, subsystem.Prepare, key)
@@ -752,7 +651,7 @@ func (e *Engine) invoke(rt *procRT, local int, service string, kind activity.Kin
 	case errors.Is(err, subsystem.ErrLocked):
 		e.metrics.LockWaits++
 		e.reg.Inc(metrics.InvokeLockBlocked)
-		e.reg.Trace(metrics.TLockWait, e.clock, string(rt.id), local, service, "")
+		e.reg.Trace(metrics.TLockWait, e.clock, string(rt.ID), local, service, "")
 		return false
 	case subsystem.IsInvocationFailure(err):
 		// A genuine local abort, or a transport failure the resilience
@@ -763,27 +662,26 @@ func (e *Engine) invoke(rt *procRT, local int, service string, kind activity.Kin
 		// alternatives / backward recovery.
 		res = nil
 	case err != nil:
-		panic(fmt.Sprintf("scheduler: invoke %s/%s: %v", rt.id, service, err))
+		panic(fmt.Sprintf("scheduler: invoke %s/%s: %v", rt.ID, service, err))
 	}
 	e.seq++
 	c := &completion{
 		at: e.clock + e.cost(service) + extraLat, seq: e.seq,
-		proc: rt.id, isStep: isStep, step: step,
+		proc: rt.ID, isStep: isStep, step: step,
 		local: local, service: service, kind: kind,
 		res: res, failed: res == nil, weak: weak,
 	}
 	if isStep {
-		rt.recoveryBusy = true
-		rt.recoveryBusySvc = service
+		rt.StepSvc = service
 	} else {
-		rt.running[local] = service
+		rt.InFlight[local] = service
 	}
 	e.bump()
 	e.append(wal.Record{
-		Type: wal.RecDispatch, Proc: string(rt.id), Local: local, Service: service,
+		Type: wal.RecDispatch, Proc: string(rt.ID), Local: local, Service: service,
 	})
 	e.reg.Inc(metrics.InvokeDispatched)
-	e.reg.Trace(metrics.TDispatch, e.clock, string(rt.id), local, service, "")
+	e.reg.Trace(metrics.TDispatch, e.clock, string(rt.ID), local, service, "")
 	heap.Push(&e.queue, c)
 	return true
 }
@@ -797,7 +695,7 @@ func (e *Engine) handleCompletion(c *completion) error {
 	if c.isStep {
 		return e.handleStepCompletion(rt, c)
 	}
-	delete(rt.running, c.local)
+	delete(rt.InFlight, c.local)
 	e.bump()
 	if c.tries == 0 {
 		// First completion of this invocation (not a commit-order wait
@@ -809,15 +707,15 @@ func (e *Engine) handleCompletion(c *completion) error {
 	// branch was abandoned or the process began aborting (a parallel
 	// sibling failed). The outcome is discarded; a successful local
 	// transaction is rolled back — atomicity guarantees no effects.
-	if st := rt.inst.Status(c.local); st != process.Pending {
+	if st := rt.Inst.Status(c.local); st != process.Pending {
 		if !c.failed && c.res != nil {
 			sub, _ := e.fed.Owner(c.service)
 			if err := sub.AbortPrepared(c.res.Tx); err == nil {
 				e.metrics.Rollbacks++
 				e.reg.Inc(metrics.RollbacksOrphaned)
-				e.reg.Trace(metrics.TRollback, e.clock, string(rt.id), c.local, c.service, "orphaned completion")
+				e.reg.Trace(metrics.TRollback, e.clock, string(rt.ID), c.local, c.service, "orphaned completion")
 				e.append(wal.Record{
-					Type: wal.RecResolved, Proc: string(rt.id), Local: c.local,
+					Type: wal.RecResolved, Proc: string(rt.ID), Local: c.local,
 					Service: c.service, Subsystem: sub.Name(), Tx: int64(c.res.Tx), Commit: false,
 				})
 			}
@@ -830,9 +728,9 @@ func (e *Engine) handleCompletion(c *completion) error {
 			// Transient failure of a retriable activity: re-invoke.
 			e.metrics.Retries++
 			e.reg.Inc(metrics.RetriesTransient)
-			e.reg.Trace(metrics.TRetry, e.clock, string(rt.id), c.local, c.service, "")
+			e.reg.Trace(metrics.TRetry, e.clock, string(rt.ID), c.local, c.service, "")
 			rt.attempts[c.local]++
-			e.append(wal.Record{Type: wal.RecOutcome, Proc: string(rt.id), Local: c.local, Service: c.service, Outcome: "aborted"})
+			e.append(wal.Record{Type: wal.RecOutcome, Proc: string(rt.ID), Local: c.local, Service: c.service, Outcome: "aborted"})
 			return nil
 		}
 		return e.handlePermanentFailure(rt, c)
@@ -840,7 +738,7 @@ func (e *Engine) handleCompletion(c *completion) error {
 
 	// Success: the local transaction is prepared at the subsystem.
 	e.append(wal.Record{
-		Type: wal.RecOutcome, Proc: string(rt.id), Local: c.local, Service: c.service,
+		Type: wal.RecOutcome, Proc: string(rt.ID), Local: c.local, Service: c.service,
 		Subsystem: e.subsystemOf(c.service), Tx: int64(c.res.Tx), Outcome: "prepared",
 	})
 	if e.commitImmediately(rt, c.kind) {
@@ -854,60 +752,60 @@ func (e *Engine) handleCompletion(c *completion) error {
 			case errors.Is(err, subsystem.ErrOrder):
 				c.tries++
 				if c.tries > 100000 {
-					return fmt.Errorf("scheduler: weak commit of %s/%s starved (commit-order wait)", rt.id, c.service)
+					return fmt.Errorf("scheduler: weak commit of %s/%s starved (commit-order wait)", rt.ID, c.service)
 				}
 				e.metrics.WeakOrderWaits++
 				e.reg.Inc(metrics.WeakOrderWaits)
-				e.reg.Trace(metrics.TWeakWait, e.clock, string(rt.id), c.local, c.service, "")
+				e.reg.Trace(metrics.TWeakWait, e.clock, string(rt.ID), c.local, c.service, "")
 				e.seq++
 				c.at = e.clock + 1
 				c.seq = e.seq
-				rt.running[c.local] = c.service // still occupies its slot
+				rt.InFlight[c.local] = c.service // still occupies its slot
 				heap.Push(&e.queue, c)
 				return nil
 			case errors.Is(err, subsystem.ErrDependencyAborted):
 				e.metrics.WeakRestarts++
 				e.reg.Inc(metrics.WeakRestarts)
-				e.reg.Trace(metrics.TWeakRestart, e.clock, string(rt.id), c.local, c.service, "")
+				e.reg.Trace(metrics.TWeakRestart, e.clock, string(rt.ID), c.local, c.service, "")
 				if err := sub.AbortPrepared(c.res.Tx); err != nil {
-					return fmt.Errorf("scheduler: weak rollback %s/%s: %w", rt.id, c.service, err)
+					return fmt.Errorf("scheduler: weak rollback %s/%s: %w", rt.ID, c.service, err)
 				}
 				// The activity stays pending and is simply re-invoked;
 				// this is not a failure of the process (Section 3.6).
 				return nil
 			case err != nil:
-				return fmt.Errorf("scheduler: weak commit %s/%s: %w", rt.id, c.service, err)
+				return fmt.Errorf("scheduler: weak commit %s/%s: %w", rt.ID, c.service, err)
 			}
 		}
 		if err := sub.CommitPrepared(c.res.Tx); err != nil {
-			return fmt.Errorf("scheduler: commit %s/%s: %w", rt.id, c.service, err)
+			return fmt.Errorf("scheduler: commit %s/%s: %w", rt.ID, c.service, err)
 		}
 		e.append(wal.Record{
-			Type: wal.RecResolved, Proc: string(rt.id), Local: c.local,
+			Type: wal.RecResolved, Proc: string(rt.ID), Local: c.local,
 			Service: c.service, Subsystem: sub.Name(), Tx: int64(c.res.Tx), Commit: true,
 		})
-		if err := rt.inst.MarkCommitted(c.local); err != nil {
+		if err := rt.Inst.MarkCommitted(c.local); err != nil {
 			return fmt.Errorf("scheduler: %w", err)
 		}
 		e.pol.AppendEvent(&policy.Event{
-			Seq: c.seq, Proc: rt.id, Local: c.local, Service: c.service, Kind: c.kind, Typ: schedule.Invoke,
+			Seq: c.seq, Proc: rt.ID, Local: c.local, Service: c.service, Kind: c.kind, Typ: schedule.Invoke,
 		})
 		e.reg.Inc(metrics.CommitsImmediate)
-		e.reg.Trace(metrics.TCommit, e.clock, string(rt.id), c.local, c.service, "")
+		e.reg.Trace(metrics.TCommit, e.clock, string(rt.ID), c.local, c.service, "")
 	} else {
 		// Deferred commit (Lemma 1): hold the prepared transaction.
 		e.metrics.Deferrals++
 		e.reg.Inc(metrics.CommitsDeferred)
 		if e.reg != nil {
-			e.reg.Trace(metrics.TDeferCommit, e.clock, string(rt.id), c.local, c.service, e.pol.FirstActivePred(e.view(), rt.id))
+			e.reg.Trace(metrics.TDeferCommit, e.clock, string(rt.ID), c.local, c.service, e.pol.FirstActivePred(rt.ID))
 		}
-		if err := rt.inst.MarkPrepared(c.local); err != nil {
+		if err := rt.Inst.MarkPrepared(c.local); err != nil {
 			return fmt.Errorf("scheduler: %w", err)
 		}
 		sub, _ := e.fed.Owner(c.service)
 		rt.prepared[c.local] = preparedTx{sub: sub, tx: c.res.Tx, service: c.service, seq: c.seq, weak: c.weak}
 		e.pol.AppendEvent(&policy.Event{
-			Seq: c.seq, Proc: rt.id, Local: c.local, Service: c.service, Kind: c.kind,
+			Seq: c.seq, Proc: rt.ID, Local: c.local, Service: c.service, Kind: c.kind,
 			Typ: schedule.Invoke, Tentative: true,
 		})
 	}
@@ -928,7 +826,7 @@ func (e *Engine) commitImmediately(rt *procRT, kind activity.Kind) bool {
 	case CCOnly, Serial, Conservative:
 		return true
 	default:
-		return !e.pol.HasActiveConflictPred(e.view(), rt.id)
+		return !e.pol.HasActiveConflictPred(rt.ID)
 	}
 }
 
@@ -943,13 +841,13 @@ func (e *Engine) subsystemOf(service string) string {
 // handlePermanentFailure reacts to the definitive failure of a
 // compensatable or pivot activity (Definition 4).
 func (e *Engine) handlePermanentFailure(rt *procRT, c *completion) error {
-	e.append(wal.Record{Type: wal.RecFailed, Proc: string(rt.id), Local: c.local, Service: c.service})
-	e.reg.Trace(metrics.TFail, e.clock, string(rt.id), c.local, c.service, "")
+	e.append(wal.Record{Type: wal.RecFailed, Proc: string(rt.ID), Local: c.local, Service: c.service})
+	e.reg.Trace(metrics.TFail, e.clock, string(rt.ID), c.local, c.service, "")
 	e.seq++
 	e.pol.AppendEvent(&policy.Event{
-		Seq: e.seq, Proc: rt.id, Local: c.local, Service: c.service, Kind: c.kind, Typ: schedule.FailedInvoke,
+		Seq: e.seq, Proc: rt.ID, Local: c.local, Service: c.service, Kind: c.kind, Typ: schedule.FailedInvoke,
 	})
-	plan, err := rt.inst.MarkFailed(c.local)
+	plan, err := rt.Inst.MarkFailed(c.local)
 	if err != nil {
 		return fmt.Errorf("scheduler: %w", err)
 	}
@@ -960,37 +858,37 @@ func (e *Engine) handlePermanentFailure(rt *procRT, c *completion) error {
 	}
 	if plan.Abort {
 		rt.restartable = false
-		rt.state = psAborting
-		rt.recovery = plan.Steps
-		e.append(wal.Record{Type: wal.RecAbortBegin, Proc: string(rt.id)})
+		rt.Phase = policy.Aborting
+		rt.Recovery = plan.Steps
+		e.append(wal.Record{Type: wal.RecAbortBegin, Proc: string(rt.ID)})
 		e.reg.Inc(metrics.BackwardRecoveries)
-		e.reg.Trace(metrics.TBackward, e.clock, string(rt.id), c.local, c.service, "")
+		e.reg.Trace(metrics.TBackward, e.clock, string(rt.ID), c.local, c.service, "")
 		e.seq++
-		e.pol.AppendEvent(&policy.Event{Seq: e.seq, Proc: rt.id, Typ: schedule.AbortBegin})
+		e.pol.AppendEvent(&policy.Event{Seq: e.seq, Proc: rt.ID, Typ: schedule.AbortBegin})
 		e.cascadeDependents(rt)
 		return nil
 	}
-	rt.recovery = plan.Steps
+	rt.Recovery = plan.Steps
 	e.reg.Inc(metrics.ForwardRecoveries)
-	e.reg.Trace(metrics.TForward, e.clock, string(rt.id), c.local, c.service, "")
+	e.reg.Trace(metrics.TForward, e.clock, string(rt.ID), c.local, c.service, "")
 	return nil
 }
 
 // beginAbort starts the abort A_i of a process, computing its completion
 // C(P_i) and queueing the steps.
 func (e *Engine) beginAbort(rt *procRT) error {
-	steps, err := rt.inst.Abort()
+	steps, err := rt.Inst.Abort()
 	if err != nil {
-		return fmt.Errorf("scheduler: abort %s: %w", rt.id, err)
+		return fmt.Errorf("scheduler: abort %s: %w", rt.ID, err)
 	}
 	rt.abortPending = false
-	rt.state = psAborting
-	rt.recovery = steps
-	e.append(wal.Record{Type: wal.RecAbortBegin, Proc: string(rt.id)})
+	rt.Phase = policy.Aborting
+	rt.Recovery = steps
+	e.append(wal.Record{Type: wal.RecAbortBegin, Proc: string(rt.ID)})
 	e.reg.Inc(metrics.BackwardRecoveries)
-	e.reg.Trace(metrics.TBackward, e.clock, string(rt.id), 0, "", "")
+	e.reg.Trace(metrics.TBackward, e.clock, string(rt.ID), 0, "", "")
 	e.seq++
-	e.pol.AppendEvent(&policy.Event{Seq: e.seq, Proc: rt.id, Typ: schedule.AbortBegin})
+	e.pol.AppendEvent(&policy.Event{Seq: e.seq, Proc: rt.ID, Typ: schedule.AbortBegin})
 	e.cascadeDependents(rt)
 	return nil
 }
@@ -1001,14 +899,14 @@ func (e *Engine) beginAbort(rt *procRT) error {
 // dispatch guard makes the dependents' compensations execute before
 // rt's own.
 func (e *Engine) cascadeDependents(rt *procRT) {
-	for _, id := range e.pol.CascadeVictims(e.view(), rt.id, rt.recovery) {
+	for _, id := range e.pol.CascadeVictims(rt.ID, rt.Recovery) {
 		q := e.byID[id]
-		if q == nil || q.state != psRunning || q.abortPending {
+		if q == nil || q.Phase != policy.Running || q.abortPending {
 			continue
 		}
 		e.metrics.Cascades++
 		e.reg.Inc(metrics.CascadeAborts)
-		e.reg.Trace(metrics.TCascade, e.clock, string(q.id), 0, "", string(rt.id))
+		e.reg.Trace(metrics.TCascade, e.clock, string(q.ID), 0, "", string(rt.ID))
 		q.abortPending = true
 		q.restartable = true
 	}
@@ -1017,53 +915,53 @@ func (e *Engine) cascadeDependents(rt *procRT) {
 // dispatchRecoveryStep issues the next queued recovery step, honouring
 // the cross-process ordering constraints of Lemmas 2 and 3.
 func (e *Engine) dispatchRecoveryStep(rt *procRT) bool {
-	st := rt.recovery[0]
+	st := rt.Recovery[0]
 	switch st.Kind {
 	case process.StepAbortPrepared:
 		// Resolve immediately (no subsystem work to simulate).
-		rt.recovery = rt.recovery[1:]
+		rt.Recovery = rt.Recovery[1:]
 		ptx, ok := rt.prepared[st.Local]
 		if ok {
 			if err := ptx.sub.AbortPrepared(ptx.tx); err == nil {
 				e.metrics.Rollbacks++
 				e.reg.Inc(metrics.DeferredRolledBack)
-				e.reg.Trace(metrics.TRollback, e.clock, string(rt.id), st.Local, ptx.service, "abandoned branch")
+				e.reg.Trace(metrics.TRollback, e.clock, string(rt.ID), st.Local, ptx.service, "abandoned branch")
 				e.append(wal.Record{
-					Type: wal.RecResolved, Proc: string(rt.id), Local: st.Local,
+					Type: wal.RecResolved, Proc: string(rt.ID), Local: st.Local,
 					Service: ptx.service, Subsystem: ptx.sub.Name(), Tx: int64(ptx.tx), Commit: false,
 				})
 			}
 			delete(rt.prepared, st.Local)
 		}
 		// Erase the tentative event and its edges.
-		e.pol.EraseTentative(rt.id, st.Local)
-		_ = rt.inst.ApplyStep(st)
+		e.pol.EraseTentative(rt.ID, st.Local)
+		_ = rt.Inst.ApplyStep(st)
 		e.bump()
 		return true
 	case process.StepCompensate:
-		if e.cfg.Mode != CCOnly && !e.pol.Lemma2Clear(e.view(), rt.id, st) {
+		if e.cfg.Mode != CCOnly && !e.pol.Lemma2Clear(rt.ID, st) {
 			e.metrics.PolicyWaits++
 			return false
 		}
 		return e.invoke(rt, st.Local, st.Service, activity.Compensation, true, st)
 	case process.StepInvoke:
 		if e.cfg.Mode != CCOnly {
-			if !e.pol.Lemma3Clear(e.view(), rt.id, st) {
+			if !e.pol.Lemma3Clear(rt.ID, st) {
 				e.debugDeny(rt, st, "lemma3")
 				e.metrics.PolicyWaits++
 				return false
 			}
-			if !e.pol.Lemma1ClearForward(e.view(), rt.id, st) {
+			if !e.pol.Lemma1ClearForward(rt.ID, st) {
 				e.debugDeny(rt, st, "lemma1fwd")
 				e.metrics.PolicyWaits++
 				return false
 			}
-			if !e.pol.StepForcedClear(e.view(), rt.id, st) {
+			if !e.pol.StepForcedClear(rt.ID, st) {
 				e.debugDeny(rt, st, "forced-cycle")
 				e.metrics.PolicyWaits++
 				return false
 			}
-			if o, defer2 := e.pol.DeferToAborting(e.view(), rt.id, st); defer2 {
+			if o, defer2 := e.pol.DeferToAborting(rt.ID, st); defer2 {
 				e.debugDeny(rt, st, fmt.Sprintf("defer-to-%s", o))
 				e.metrics.PolicyWaits++
 				return false
@@ -1077,8 +975,7 @@ func (e *Engine) dispatchRecoveryStep(rt *procRT) bool {
 
 // handleStepCompletion finishes a recovery-step invocation.
 func (e *Engine) handleStepCompletion(rt *procRT, c *completion) error {
-	rt.recoveryBusy = false
-	rt.recoveryBusySvc = ""
+	rt.StepSvc = ""
 	e.bump()
 	e.reg.ObserveService(c.service, e.cost(c.service))
 	if c.failed {
@@ -1086,7 +983,7 @@ func (e *Engine) handleStepCompletion(rt *procRT, c *completion) error {
 		// transient failures are re-invoked.
 		e.metrics.Retries++
 		e.reg.Inc(metrics.RetriesTransient)
-		e.reg.Trace(metrics.TRetry, e.clock, string(rt.id), c.local, c.service, "recovery step")
+		e.reg.Trace(metrics.TRetry, e.clock, string(rt.ID), c.local, c.service, "recovery step")
 		return nil
 	}
 	// Log the step outcome, then commit its local transaction. The
@@ -1098,39 +995,39 @@ func (e *Engine) handleStepCompletion(rt *procRT, c *completion) error {
 	switch c.step.Kind {
 	case process.StepCompensate:
 		e.append(wal.Record{
-			Type: wal.RecCompensate, Proc: string(rt.id), Local: c.local, Service: c.service,
+			Type: wal.RecCompensate, Proc: string(rt.ID), Local: c.local, Service: c.service,
 			Subsystem: sub.Name(), Tx: int64(c.res.Tx),
 		})
 	case process.StepInvoke:
 		e.append(wal.Record{
-			Type: wal.RecOutcome, Proc: string(rt.id), Local: c.local, Service: c.service,
+			Type: wal.RecOutcome, Proc: string(rt.ID), Local: c.local, Service: c.service,
 			Subsystem: sub.Name(), Tx: int64(c.res.Tx), Outcome: "committed",
 		})
 	}
 	if err := sub.CommitPrepared(c.res.Tx); err != nil {
-		return fmt.Errorf("scheduler: commit step %s/%s: %w", rt.id, c.service, err)
+		return fmt.Errorf("scheduler: commit step %s/%s: %w", rt.ID, c.service, err)
 	}
-	if len(rt.recovery) > 0 && rt.recovery[0] == c.step {
-		rt.recovery = rt.recovery[1:]
+	if len(rt.Recovery) > 0 && rt.Recovery[0] == c.step {
+		rt.Recovery = rt.Recovery[1:]
 	}
 	switch c.step.Kind {
 	case process.StepCompensate:
 		e.metrics.Compensations++
 		e.reg.Inc(metrics.CompensationsIssued)
-		e.reg.Trace(metrics.TCompensate, e.clock, string(rt.id), c.local, c.service, "")
+		e.reg.Trace(metrics.TCompensate, e.clock, string(rt.ID), c.local, c.service, "")
 		// The base event stops contributing conflicts.
-		e.pol.MarkCompensated(rt.id, c.local)
+		e.pol.MarkCompensated(rt.ID, c.local)
 		e.pol.AppendEvent(&policy.Event{
-			Seq: c.seq, Proc: rt.id, Local: c.local, Service: c.service,
+			Seq: c.seq, Proc: rt.ID, Local: c.local, Service: c.service,
 			Kind: activity.Compensation, Typ: schedule.Invoke, Inverse: true,
 		})
 	case process.StepInvoke:
-		e.reg.Trace(metrics.TRecoveryStep, e.clock, string(rt.id), c.local, c.service, "")
+		e.reg.Trace(metrics.TRecoveryStep, e.clock, string(rt.ID), c.local, c.service, "")
 		e.pol.AppendEvent(&policy.Event{
-			Seq: c.seq, Proc: rt.id, Local: c.local, Service: c.service, Kind: c.kind, Typ: schedule.Invoke,
+			Seq: c.seq, Proc: rt.ID, Local: c.local, Service: c.service, Kind: c.kind, Typ: schedule.Invoke,
 		})
 	}
-	if err := rt.inst.ApplyStep(c.step); err != nil {
+	if err := rt.Inst.ApplyStep(c.step); err != nil {
 		return fmt.Errorf("scheduler: %w", err)
 	}
 	return nil
@@ -1142,7 +1039,7 @@ func (e *Engine) handleStepCompletion(rt *procRT, c *completion) error {
 // then C_i is emitted.
 func (e *Engine) tryFinish(rt *procRT) bool {
 	if len(rt.prepared) > 0 {
-		if e.pol.HasActiveConflictPred(e.view(), rt.id) {
+		if e.pol.HasActiveConflictPred(rt.ID) {
 			if rt.blockedSince < 0 {
 				rt.blockedSince = e.clock
 			}
@@ -1163,7 +1060,7 @@ func (e *Engine) commitPreparedSet(rt *procRT) bool {
 		// Skip transactions already marked for rollback (a failure plan
 		// abandoned their branch; the queued StepAbortPrepared resolves
 		// them).
-		if rt.inst.Status(l) == process.Prepared {
+		if rt.Inst.Status(l) == process.Prepared {
 			locals = append(locals, l)
 		}
 	}
@@ -1184,20 +1081,20 @@ func (e *Engine) commitPreparedSet(rt *procRT) bool {
 		case errors.Is(err, subsystem.ErrOrder):
 			e.metrics.WeakOrderWaits++
 			e.reg.Inc(metrics.WeakOrderWaits)
-			e.reg.Trace(metrics.TWeakWait, e.clock, string(rt.id), l, ptx.service, "")
+			e.reg.Trace(metrics.TWeakWait, e.clock, string(rt.ID), l, ptx.service, "")
 			return false
 		case errors.Is(err, subsystem.ErrDependencyAborted):
 			e.metrics.WeakRestarts++
 			e.reg.Inc(metrics.WeakRestarts)
 			e.reg.Inc(metrics.DeferredRolledBack)
-			e.reg.Trace(metrics.TWeakRestart, e.clock, string(rt.id), l, ptx.service, "")
+			e.reg.Trace(metrics.TWeakRestart, e.clock, string(rt.ID), l, ptx.service, "")
 			if err := ptx.sub.AbortPrepared(ptx.tx); err != nil {
 				panic(fmt.Sprintf("scheduler: weak rollback: %v", err))
 			}
-			if err := rt.inst.ResetPrepared(l); err != nil {
+			if err := rt.Inst.ResetPrepared(l); err != nil {
 				panic(fmt.Sprintf("scheduler: %v", err))
 			}
-			e.pol.EraseTentative(rt.id, l)
+			e.pol.EraseTentative(rt.ID, l)
 			delete(rt.prepared, l)
 			e.bump()
 			return false // the activity re-invokes; try again later
@@ -1209,21 +1106,21 @@ func (e *Engine) commitPreparedSet(rt *procRT) bool {
 	for _, l := range locals {
 		ptx := rt.prepared[l]
 		parts = append(parts, twopc.Participant{
-			Sub: ptx.sub, Tx: ptx.tx, Proc: string(rt.id), Local: l, Service: ptx.service,
+			Sub: ptx.sub, Tx: ptx.tx, Proc: string(rt.ID), Local: l, Service: ptx.service,
 		})
 	}
-	if err := e.coord.CommitAll(string(rt.id), parts); err != nil {
-		panic(fmt.Sprintf("scheduler: 2PC commit of %s: %v", rt.id, err))
+	if err := e.coord.CommitAll(string(rt.ID), parts); err != nil {
+		panic(fmt.Sprintf("scheduler: 2PC commit of %s: %v", rt.ID, err))
 	}
 	for _, l := range locals {
 		e.metrics.TwoPCCommits++
 		e.reg.Inc(metrics.DeferredCommitted2PC)
-		e.reg.Trace(metrics.TTwoPCCommit, e.clock, string(rt.id), l, rt.prepared[l].service, "")
-		if err := rt.inst.MarkCommitted(l); err != nil {
+		e.reg.Trace(metrics.TTwoPCCommit, e.clock, string(rt.ID), l, rt.prepared[l].service, "")
+		if err := rt.Inst.MarkCommitted(l); err != nil {
 			panic(fmt.Sprintf("scheduler: %v", err))
 		}
 		e.seq++
-		e.pol.FinalizeTentative(rt.id, l, e.seq)
+		e.pol.FinalizeTentative(rt.ID, l, e.seq)
 		delete(rt.prepared, l)
 	}
 	if rt.blockedSince >= 0 {
@@ -1238,11 +1135,11 @@ func (e *Engine) commitPreparedSet(rt *procRT) bool {
 // processes waiting on it may now commit their prepared sets and
 // continue (their successors were deferred).
 func (e *Engine) commitDeferredIfPossible() {
-	for _, rt := range e.procs {
-		if rt.state != psRunning || len(rt.prepared) == 0 || rt.abortPending || len(rt.recovery) > 0 {
+	for rt := range e.active {
+		if rt.Phase != policy.Running || len(rt.prepared) == 0 || rt.abortPending || len(rt.Recovery) > 0 {
 			continue
 		}
-		if !e.pol.HasActiveConflictPred(e.view(), rt.id) {
+		if !e.pol.HasActiveConflictPred(rt.ID) {
 			e.commitPreparedSet(rt)
 		}
 	}
@@ -1256,13 +1153,13 @@ func (e *Engine) finishAbort(rt *procRT) {
 		if err := ptx.sub.AbortPrepared(ptx.tx); err == nil {
 			e.metrics.Rollbacks++
 			e.reg.Inc(metrics.DeferredRolledBack)
-			e.reg.Trace(metrics.TRollback, e.clock, string(rt.id), l, ptx.service, "abort leftover")
+			e.reg.Trace(metrics.TRollback, e.clock, string(rt.ID), l, ptx.service, "abort leftover")
 			e.append(wal.Record{
-				Type: wal.RecResolved, Proc: string(rt.id), Local: l,
+				Type: wal.RecResolved, Proc: string(rt.ID), Local: l,
 				Service: ptx.service, Subsystem: ptx.sub.Name(), Tx: int64(ptx.tx), Commit: false,
 			})
 		}
-		e.pol.EraseTentative(rt.id, l)
+		e.pol.EraseTentative(rt.ID, l)
 		delete(rt.prepared, l)
 	}
 	e.terminate(rt, false)
@@ -1273,9 +1170,9 @@ func (e *Engine) finishAbort(rt *procRT) {
 
 // terminate emits the terminal event of a process.
 func (e *Engine) terminate(rt *procRT, committed bool) {
-	rt.state = psDone
+	rt.Phase = policy.Done
 	rt.end = e.clock
-	out := e.outcomes[rt.id]
+	out := e.outcomes[rt.ID]
 	out.End = e.clock
 	out.Committed = committed
 	out.Aborted = !committed
@@ -1289,11 +1186,11 @@ func (e *Engine) terminate(rt *procRT, committed bool) {
 		e.reg.Inc(metrics.ProcsAborted)
 	}
 	e.reg.Observe(metrics.HistProcDuration, e.clock-rt.start)
-	e.reg.Trace(metrics.TTerminate, e.clock, string(rt.id), 0, "", fate)
-	e.append(wal.Record{Type: wal.RecTerminate, Proc: string(rt.id), Committed: committed})
+	e.reg.Trace(metrics.TTerminate, e.clock, string(rt.ID), 0, "", fate)
+	e.append(wal.Record{Type: wal.RecTerminate, Proc: string(rt.ID), Committed: committed})
 	e.seq++
-	e.pol.AppendEvent(&policy.Event{Seq: e.seq, Proc: rt.id, Typ: schedule.Terminate, Committed: committed})
-	rt.inst.MarkTerminated(committed)
+	e.pol.AppendEvent(&policy.Event{Seq: e.seq, Proc: rt.ID, Typ: schedule.Terminate, Committed: committed})
+	rt.Inst.MarkTerminated(committed)
 	e.commitDeferredIfPossible()
 }
 
@@ -1304,7 +1201,7 @@ func (e *Engine) restart(rt *procRT) {
 	e.reg.Inc(metrics.ProcsRestarted)
 	newID := process.ID(fmt.Sprintf("%s+r%d", rt.base, rt.restarts+1))
 	def := rt.def.WithID(newID)
-	nrt := e.newRT(def, rt.arrival, rt.origin)
+	nrt := e.newRT(def, rt.Arrival, rt.origin)
 	nrt.base = rt.base
 	nrt.restarts = rt.restarts + 1
 	// Exponential backoff before re-entry, so the contention that
@@ -1317,21 +1214,18 @@ func (e *Engine) restart(rt *procRT) {
 // debugDeny traces step denials when DebugFirstStall is on.
 func (e *Engine) debugDeny(rt *procRT, st process.Step, why string) {
 	if e.cfg.DebugFirstStall && e.metrics.PolicyWaits%500 == 0 {
-		fmt.Printf("DENY step %s/%v: %s (clock %d)\n", rt.id, st, why, e.clock)
+		fmt.Printf("DENY step %s/%v: %s (clock %d)\n", rt.ID, st, why, e.clock)
 	}
 }
 
 // stallDump renders the engine state for stall diagnostics.
 func (e *Engine) stallDump() string {
 	s := fmt.Sprintf("clock=%d pending=%d\n", e.clock, len(e.pending))
-	for _, rt := range e.procs {
-		if rt.state == psDone {
-			continue
-		}
+	for rt := range e.active {
 		s += fmt.Sprintf("  %s state=%d mode=%v done=%v running=%d recovery=%d busy=%v abortPending=%v prepared=%d frontier=%v\n",
-			rt.id, rt.state, rt.inst.Mode(), rt.inst.Done(), len(rt.running), len(rt.recovery), rt.recoveryBusy, rt.abortPending, len(rt.prepared), rt.inst.Frontier())
-		if len(rt.recovery) > 0 {
-			s += fmt.Sprintf("    next step: %v\n", rt.recovery[0])
+			rt.ID, rt.Phase, rt.Inst.Mode(), rt.Inst.Done(), len(rt.InFlight), len(rt.Recovery), rt.StepBusy(), rt.abortPending, len(rt.prepared), rt.Inst.Frontier())
+		if len(rt.Recovery) > 0 {
+			s += fmt.Sprintf("    next step: %v\n", rt.Recovery[0])
 		}
 	}
 	for _, k := range e.pol.EdgeList() {
@@ -1346,14 +1240,14 @@ func (e *Engine) stallDump() string {
 // resolveStall aborts one blocked process to break a scheduling stall.
 func (e *Engine) resolveStall() bool {
 	var victim *procRT
-	for _, rt := range e.procs {
-		if rt.state != psRunning || len(rt.running) > 0 || rt.recoveryBusy || rt.abortPending {
+	for rt := range e.active {
+		if rt.Phase != policy.Running || len(rt.InFlight) > 0 || rt.StepBusy() || rt.abortPending {
 			continue
 		}
-		if rt.inst.Done() {
+		if rt.Inst.Done() {
 			continue // waiting to finish, not a dispatch stall
 		}
-		if victim == nil || rt.arrival > victim.arrival {
+		if victim == nil || rt.Arrival > victim.Arrival {
 			victim = rt
 		}
 	}
@@ -1361,12 +1255,12 @@ func (e *Engine) resolveStall() bool {
 		// A done process blocked on its deferred 2PC commit can still
 		// deadlock with an aborting process's completion; abort it too
 		// (it restarts afterwards).
-		for _, rt := range e.procs {
-			if rt.state != psRunning || len(rt.running) > 0 || rt.recoveryBusy || rt.abortPending {
+		for rt := range e.active {
+			if rt.Phase != policy.Running || len(rt.InFlight) > 0 || rt.StepBusy() || rt.abortPending {
 				continue
 			}
-			if rt.inst.Done() && len(rt.prepared) > 0 && e.pol.HasActiveConflictPred(e.view(), rt.id) {
-				if victim == nil || rt.arrival > victim.arrival {
+			if rt.Inst.Done() && len(rt.prepared) > 0 && e.pol.HasActiveConflictPred(rt.ID) {
+				if victim == nil || rt.Arrival > victim.Arrival {
 					victim = rt
 				}
 			}
@@ -1376,11 +1270,11 @@ func (e *Engine) resolveStall() bool {
 		return false
 	}
 	if e.cfg.DebugFirstStall && e.metrics.VictimAborts == 0 {
-		fmt.Printf("FIRST STALL victim=%s\n%s\n", victim.id, e.stallDump())
+		fmt.Printf("FIRST STALL victim=%s\n%s\n", victim.ID, e.stallDump())
 	}
 	e.metrics.VictimAborts++
 	e.reg.Inc(metrics.VictimAborts)
-	e.reg.Trace(metrics.TVictim, e.clock, string(victim.id), 0, "", "stall resolution")
+	e.reg.Trace(metrics.TVictim, e.clock, string(victim.ID), 0, "", "stall resolution")
 	victim.restartable = true
 	victim.abortPending = true
 	return e.dispatchProc(victim)

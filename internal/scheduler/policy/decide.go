@@ -11,12 +11,12 @@ import (
 // HasActiveConflictPred reports whether any non-terminated process has
 // an edge into id in the conflict graph — Lemma 1's commit-deferral
 // condition.
-func (s *State) HasActiveConflictPred(v View, id process.ID) bool {
+func (s *State) HasActiveConflictPred(id process.ID) bool {
 	for k, n := range s.edges {
 		if n <= 0 || k[1] != id {
 			continue
 		}
-		if v.Phase(k[0]) != Done {
+		if s.phase(k[0]) != Done {
 			return true
 		}
 	}
@@ -28,13 +28,13 @@ func (s *State) HasActiveConflictPred(v View, id process.ID) bool {
 // deferral resolves only when all of them terminated, so the list is
 // the AND-set of one wait-for alternative in the runtime's deadlock
 // detector.
-func (s *State) ActiveConflictPreds(v View, id process.ID) []process.ID {
+func (s *State) ActiveConflictPreds(id process.ID) []process.ID {
 	var out []process.ID
 	for k, n := range s.edges {
 		if n <= 0 || k[1] != id {
 			continue
 		}
-		if v.Phase(k[0]) != Done {
+		if s.phase(k[0]) != Done {
 			out = append(out, k[0])
 		}
 	}
@@ -48,7 +48,7 @@ func (s *State) ActiveConflictPreds(v View, id process.ID) []process.ID {
 // from a rule without pred-wait semantics (forced-order acyclicity, the
 // ablation pivot gate, or a non-PRED mode), so the caller has no edge
 // information and must fall back to quiescence-based stall handling.
-func (s *State) DispatchBlockers(v View, id process.ID, a *process.Activity) []process.ID {
+func (s *State) DispatchBlockers(id process.ID, a *process.Activity) []process.ID {
 	switch s.cfg.Mode {
 	case Serial, Conservative, CCOnly:
 		return nil
@@ -58,15 +58,15 @@ func (s *State) DispatchBlockers(v View, id process.ID, a *process.Activity) []p
 		return nil
 	}
 	var out []process.ID
-	for q := range s.conflictPreds(v, id, svcID) {
-		if v.Phase(q) == Done {
+	for q := range s.conflictPreds(id, svcID) {
+		if s.phase(q) == Done {
 			continue
 		}
-		if s.safeQuasiCommit(v, q, svcID) {
+		if s.safeQuasiCommit(q, svcID) {
 			continue
 		}
-		if s.cfg.Mode == PREDCascade && a.Kind == activity.Compensatable && v.Phase(q) == Running &&
-			v.Arrival(q) <= v.Arrival(id) && !s.forwardConflict(v, q, a.Service) {
+		if s.cfg.Mode == PREDCascade && a.Kind == activity.Compensatable && s.phase(q) == Running &&
+			s.arrival(q) <= s.arrival(id) && !s.forwardConflict(q, a.Service) {
 			continue
 		}
 		out = append(out, q)
@@ -78,12 +78,12 @@ func (s *State) DispatchBlockers(v View, id process.ID, a *process.Activity) []p
 // process a deferred commit is waiting on (trace detail for the
 // defer-commit decision). Which one is named is arbitrary when several
 // exist; "" when none.
-func (s *State) FirstActivePred(v View, id process.ID) string {
+func (s *State) FirstActivePred(id process.ID) string {
 	for k, n := range s.edges {
 		if n <= 0 || k[1] != id {
 			continue
 		}
-		if v.Phase(k[0]) != Done {
+		if s.phase(k[0]) != Done {
 			return string(k[0])
 		}
 	}
@@ -120,10 +120,10 @@ func (s *State) wouldCycle(preds map[process.ID]bool, to process.ID) bool {
 // processes with an earlier effective conflicting event (executed or in
 // flight). The returned map is scratch, valid until the next
 // conflictPreds call on this state.
-func (s *State) conflictPreds(v View, id process.ID, svcID int) map[process.ID]bool {
+func (s *State) conflictPreds(id process.ID, svcID int) map[process.ID]bool {
 	preds := s.predScratch
 	clear(preds)
-	fc := s.forced(v)
+	fc := s.forced()
 	mask := s.u.mask(svcID)
 	for svc, owners := range fc.bySvc {
 		if len(owners) == 0 {
@@ -144,7 +144,7 @@ func (s *State) conflictPreds(v View, id process.ID, svcID int) map[process.ID]b
 // MayDispatch implements the per-activity scheduling rules for a regular
 // (non-recovery) invocation of the given activity by process id. When
 // denied, the returned string names the rule.
-func (s *State) MayDispatch(v View, id process.ID, a *process.Activity) (bool, string) {
+func (s *State) MayDispatch(id process.ID, a *process.Activity) (bool, string) {
 	switch s.cfg.Mode {
 	case Serial, Conservative:
 		return true, "" // admission already serialized conflicts
@@ -155,12 +155,12 @@ func (s *State) MayDispatch(v View, id process.ID, a *process.Activity) (bool, s
 	// still apply. This skips the forced-context machinery entirely for
 	// the commutative bulk of a workload.
 	if !anyBit(s.u.mask(svcID)) {
-		if s.cfg.Mode != CCOnly && s.cfg.BlockPivots && a.Kind.NonCompensatable() && s.HasActiveConflictPred(v, id) {
+		if s.cfg.Mode != CCOnly && s.cfg.BlockPivots && a.Kind.NonCompensatable() && s.HasActiveConflictPred(id) {
 			return false, "pivot blocked until predecessors terminate (ablation mode)"
 		}
 		return true, ""
 	}
-	preds := s.conflictPreds(v, id, svcID)
+	preds := s.conflictPreds(id, svcID)
 	if s.cfg.Mode == CCOnly {
 		if len(preds) == 0 {
 			return true, ""
@@ -172,14 +172,14 @@ func (s *State) MayDispatch(v View, id process.ID, a *process.Activity) (bool, s
 	}
 	// PRED modes: dependencies on active processes are restricted.
 	for q := range preds {
-		if v.Phase(q) == Done {
+		if s.phase(q) == Done {
 			continue
 		}
-		if s.safeQuasiCommit(v, q, svcID) {
+		if s.safeQuasiCommit(q, svcID) {
 			continue
 		}
-		if s.cfg.Mode == PREDCascade && a.Kind == activity.Compensatable && v.Phase(q) == Running &&
-			v.Arrival(q) <= v.Arrival(id) && !s.forwardConflict(v, q, a.Service) {
+		if s.cfg.Mode == PREDCascade && a.Kind == activity.Compensatable && s.phase(q) == Running &&
+			s.arrival(q) <= s.arrival(id) && !s.forwardConflict(q, a.Service) {
 			// Figure-7 pattern: a compensatable activity may depend on
 			// an active process — if that process unwinds, the
 			// dependent is cascade-aborted first (Lemma 2 order). Two
@@ -198,11 +198,11 @@ func (s *State) MayDispatch(v View, id process.ID, a *process.Activity) (bool, s
 	// The dispatch must keep the forced ordering graph of the completed
 	// current schedule acyclic (prefix-reducibility, maintained
 	// inductively).
-	fc := s.forced(v)
+	fc := s.forced()
 	if !fc.acyclicWith(fc.newEdges(id, svcID, false)) {
 		return false, "completed-schedule ordering would become cyclic"
 	}
-	if s.cfg.BlockPivots && a.Kind.NonCompensatable() && s.HasActiveConflictPred(v, id) {
+	if s.cfg.BlockPivots && a.Kind.NonCompensatable() && s.HasActiveConflictPred(id) {
 		return false, "pivot blocked until predecessors terminate (ablation mode)"
 	}
 	return true, ""
@@ -213,22 +213,22 @@ func (s *State) MayDispatch(v View, id process.ID, a *process.Activity) (bool, s
 // none of its potential recovery services conflicts (Example 10). The
 // potential set is read from the round's forced context (same state
 // version, so it is current).
-func (s *State) safeQuasiCommit(v View, q process.ID, svcID int) bool {
-	inst := v.Instance(q)
-	if v.Phase(q) != Running || inst == nil || inst.Mode() != process.FREC {
+func (s *State) safeQuasiCommit(q process.ID, svcID int) bool {
+	p := s.byID[q]
+	if p == nil || p.Phase != Running || p.Inst.Mode() != process.FREC {
 		return false
 	}
-	return !intersects(s.forced(v).pots[q], s.u.mask(svcID))
+	return !intersects(s.forced().pots[q], s.u.mask(svcID))
 }
 
 // forwardConflict reports whether q's potential forward recovery
 // services conflict with the given service.
-func (s *State) forwardConflict(v View, q process.ID, service string) bool {
-	inst := v.Instance(q)
-	if inst == nil {
+func (s *State) forwardConflict(q process.ID, service string) bool {
+	p := s.byID[q]
+	if p == nil {
 		return false
 	}
-	for svc := range inst.PotentialForwardServices() {
+	for svc := range p.Inst.PotentialForwardServices() {
 		if s.u.Conflicts(svc, service) {
 			return true
 		}
@@ -243,16 +243,16 @@ func (s *State) forwardConflict(v View, q process.ID, service string) bool {
 // Section 3.5). Aborting processes are waited for only through their
 // queued compensations (Lemma3Clear); their remaining forward paths
 // merely order against ours.
-func (s *State) Lemma1ClearForward(v View, id process.ID, st process.Step) bool {
+func (s *State) Lemma1ClearForward(id process.ID, st process.Step) bool {
 	svcID := s.u.intern(st.Service)
 	if !anyBit(s.u.mask(svcID)) {
 		return true
 	}
-	for q := range s.conflictPreds(v, id, svcID) {
-		if ph := v.Phase(q); ph == Done || ph == Aborting {
+	for q := range s.conflictPreds(id, svcID) {
+		if ph := s.phase(q); ph == Done || ph == Aborting {
 			continue
 		}
-		if !s.safeQuasiCommit(v, q, svcID) {
+		if !s.safeQuasiCommit(q, svcID) {
 			return false
 		}
 	}
@@ -263,7 +263,7 @@ func (s *State) Lemma1ClearForward(v View, id process.ID, st process.Step) bool 
 // the compensation of an activity executed at sequence T must wait while
 // another active process still has effective conflicting work executed
 // after T (that process compensates first — it is cascading).
-func (s *State) Lemma2Clear(v View, id process.ID, st process.Step) bool {
+func (s *State) Lemma2Clear(id process.ID, st process.Step) bool {
 	svcID := s.u.intern(st.Service)
 	if !anyBit(s.u.mask(svcID)) {
 		return true
@@ -276,7 +276,7 @@ func (s *State) Lemma2Clear(v View, id process.ID, st process.Step) bool {
 		if ev.Seq <= baseSeq {
 			continue
 		}
-		if v.Phase(ev.Proc) == Done {
+		if s.phase(ev.Proc) == Done {
 			continue
 		}
 		if s.u.conflictsID(ev.svc, svcID) {
@@ -289,15 +289,15 @@ func (s *State) Lemma2Clear(v View, id process.ID, st process.Step) bool {
 // Lemma3Clear defers a forward-recovery invocation while another active
 // process has a conflicting compensation still queued: compensations
 // precede conflicting retriable activities in the completion (Lemma 3).
-func (s *State) Lemma3Clear(v View, id process.ID, st process.Step) bool {
+func (s *State) Lemma3Clear(id process.ID, st process.Step) bool {
 	if !anyBit(s.u.mask(s.u.intern(st.Service))) {
 		return true
 	}
-	for _, o := range v.Procs() {
-		if o == id || v.Phase(o) == Done {
+	for _, o := range s.procs {
+		if o.ID == id || o.Phase == Done {
 			continue
 		}
-		for _, os := range v.RecoverySteps(o) {
+		for _, os := range o.Recovery {
 			if os.Kind == process.StepCompensate && s.u.Conflicts(os.Service, st.Service) {
 				return false
 			}
@@ -311,14 +311,14 @@ func (s *State) Lemma3Clear(v View, id process.ID, st process.Step) bool {
 // waiting can still break (some process on the cycle path is active). A
 // cycle whose other participants already terminated cannot be avoided —
 // the completion step must run eventually, so it proceeds.
-func (s *State) StepForcedClear(v View, id process.ID, st process.Step) bool {
+func (s *State) StepForcedClear(id process.ID, st process.Step) bool {
 	svcID := s.u.intern(st.Service)
 	if !anyBit(s.u.mask(svcID)) {
 		return true
 	}
-	fc := s.forced(v)
+	fc := s.forced()
 	return fc.acyclicWithActive(fc.newEdges(id, svcID, true), func(q process.ID) bool {
-		return v.Phase(q) != Done
+		return s.phase(q) != Done
 	})
 }
 
@@ -328,29 +328,29 @@ func (s *State) StepForcedClear(v View, id process.ID, st process.Step) bool {
 // the tie breaks by age then id, so exactly one side proceeds and the
 // mutual wait cannot deadlock. It returns the process deferred to, if
 // any.
-func (s *State) DeferToAborting(v View, id process.ID, st process.Step) (process.ID, bool) {
+func (s *State) DeferToAborting(id process.ID, st process.Step) (process.ID, bool) {
 	if !anyBit(s.u.mask(s.u.intern(st.Service))) {
 		return "", false
 	}
-	fc := s.forced(v)
-	for _, o := range v.Procs() {
-		if o == id || v.Phase(o) != Aborting {
+	fc := s.forced()
+	for _, o := range s.procs {
+		if o.ID == id || o.Phase != Aborting {
 			continue
 		}
-		for _, os := range v.RecoverySteps(o) {
+		for _, os := range o.Recovery {
 			if os.Kind != process.StepInvoke || !s.u.Conflicts(os.Service, st.Service) {
 				continue
 			}
-			if !fc.pathExists(o, id) {
+			if !fc.pathExists(o.ID, id) {
 				continue
 			}
-			if fc.pathExists(id, o) {
+			if fc.pathExists(id, o.ID) {
 				// Mutual: older (or lower id) goes first.
-				if v.Arrival(id) < v.Arrival(o) || (v.Arrival(id) == v.Arrival(o) && id < o) {
+				if s.arrival(id) < o.Arrival || (s.arrival(id) == o.Arrival && id < o.ID) {
 					continue
 				}
 			}
-			return o, true
+			return o.ID, true
 		}
 	}
 	return "", false
@@ -364,7 +364,7 @@ func (s *State) DeferToAborting(v View, id process.ID, st process.Step) (process
 // then would the base's compensation pair be blocked (Lemma 2 demands
 // q's conflicting work unwinds first). Callers filter processes whose
 // abort is already pending.
-func (s *State) CascadeVictims(v View, of process.ID, recovery []process.Step) []process.ID {
+func (s *State) CascadeVictims(of process.ID, recovery []process.Step) []process.ID {
 	if s.cfg.Mode != PREDCascade {
 		return nil
 	}
@@ -388,7 +388,7 @@ func (s *State) CascadeVictims(v View, of process.ID, recovery []process.Step) [
 			continue
 		}
 		q := k[1]
-		if v.Phase(q) != Running {
+		if s.phase(q) != Running {
 			continue
 		}
 		depends := false

@@ -31,7 +31,7 @@ type forcedCtx struct {
 	bySvc [][]process.ID
 	// edges is the forced edge set.
 	edges map[[2]process.ID]bool
-	// phase snapshots the view's phases at build time (for newEdges'
+	// phase snapshots the table's phases at build time (for newEdges'
 	// aborting-process exemption).
 	phase map[process.ID]Phase
 
@@ -48,17 +48,17 @@ type forcedCtx struct {
 
 // forced returns the current round's forced-graph context, rebuilt when
 // the state version moved since the cached one.
-func (s *State) forced(v View) *forcedCtx {
+func (s *State) forced() *forcedCtx {
 	if s.fctx == nil || s.fctxVersion != s.version {
-		s.fctx = s.newForcedCtx(v)
+		s.fctx = s.newForcedCtx()
 		s.fctxVersion = s.version
 	}
 	return s.fctx
 }
 
-// newForcedCtx builds the round context from the view, reusing the
-// previous round's allocations.
-func (s *State) newForcedCtx(v View) *forcedCtx {
+// newForcedCtx builds the round context from the process table,
+// reusing the previous round's allocations.
+func (s *State) newForcedCtx() *forcedCtx {
 	f := s.fctx
 	if f == nil {
 		f = &forcedCtx{
@@ -79,24 +79,20 @@ func (s *State) newForcedCtx(v View) *forcedCtx {
 	}
 	f.maskAlloc = f.maskAlloc[:0]
 
-	procs := v.Procs()
 	words := (s.u.Size() + 63) / 64
-	for _, id := range procs {
-		ph := v.Phase(id)
-		f.phase[id] = ph
-		switch ph {
+	for _, p := range s.procs {
+		f.phase[p.ID] = p.Phase
+		switch p.Phase {
 		case Running:
-			if inst := v.Instance(id); inst != nil {
-				f.pots[id] = f.newMask(inst.PotentialRecoveryServices(), words)
-			}
+			f.pots[p.ID] = f.newMask(p.Inst.PotentialRecoveryServices(), words)
 		case Aborting:
 			m := f.blankMask(words)
-			for _, st := range v.RecoverySteps(id) {
+			for _, st := range p.Recovery {
 				if st.Kind == process.StepInvoke {
 					m = setBit(m, s.u.intern(st.Service))
 				}
 			}
-			f.pots[id] = m
+			f.pots[p.ID] = m
 		}
 	}
 	for _, ev := range s.events {
@@ -108,9 +104,12 @@ func (s *State) newForcedCtx(v View) *forcedCtx {
 	// In-flight invocations participate as survivors: they will commit
 	// (or vanish atomically) and their pending conflict edges must be
 	// visible to concurrent dispatch decisions.
-	for _, id := range procs {
-		for _, svc := range v.InFlight(id) {
-			f.addSurvivor(id, s.u.intern(svc))
+	for _, p := range s.procs {
+		for _, svc := range p.InFlight {
+			f.addSurvivor(p.ID, s.u.intern(svc))
+		}
+		if p.StepBusy() {
+			f.addSurvivor(p.ID, s.u.intern(p.StepSvc))
 		}
 	}
 	// Executed-executed edges.
@@ -219,8 +218,8 @@ func (f *forcedCtx) newEdges(proc process.ID, svcID int, isStep bool) [][2]proce
 
 // ForcedEdgesFor exposes newEdges for diagnostics (stall dumps); the
 // result is a copy safe to retain.
-func (s *State) ForcedEdgesFor(v View, id process.ID, service string, isStep bool) [][2]process.ID {
-	fc := s.forced(v)
+func (s *State) ForcedEdgesFor(id process.ID, service string, isStep bool) [][2]process.ID {
+	fc := s.forced()
 	edges := fc.newEdges(id, s.u.intern(service), isStep)
 	out := make([][2]process.ID, len(edges))
 	copy(out, edges)

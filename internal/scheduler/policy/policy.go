@@ -6,16 +6,22 @@
 // Lemma 2/3 ordering of compensations and forward-recovery steps, and
 // cascade-victim selection.
 //
-// Two engines share this layer: the sequential discrete-event engine
-// (internal/scheduler) — the reference oracle — and the concurrent
-// goroutine-per-process runtime (internal/runtime). The policy State is
-// NOT internally synchronized: the sequential engine calls it from its
-// single event loop, the concurrent runtime from within its serial
-// section (all calls under the runtime mutex).
+// Three engines share this layer: the sequential discrete-event engine
+// (internal/scheduler) — the reference oracle — the concurrent
+// goroutine-per-process runtime (internal/runtime) and the federation
+// hub (internal/federation). The policy State is NOT internally
+// synchronized: the sequential engine calls it from its single event
+// loop, the runtime and the hub from within their serial sections.
 //
-// Engine-dynamic facts (process phases, instances, queued recovery
-// steps, in-flight invocations) are supplied through the View interface
-// so that the decisions stay pure functions of the observable state.
+// The State owns the process table: one Proc per admitted process, in
+// admission order, holding the policy-visible facts (phase, instance,
+// queued recovery steps, in-flight invocations). Each engine embeds the
+// Proc in its own per-process struct and mutates it in place, so the
+// decisions read the engine's live state without an adapter. The
+// policy-side half of the runtime's and the hub's lifecycle transitions
+// (lifecycle.go) is specified here once; the sequential engine keeps
+// its own transition code so the differential batteries compare two
+// independent implementations.
 package policy
 
 import (
@@ -27,25 +33,53 @@ import (
 	"transproc/internal/schedule"
 )
 
-// Mode selects the scheduling policy (mirrors the engine-level mode; the
-// policy layer defines its own copy to stay import-cycle free).
+// Mode selects the scheduling policy.
 type Mode int
 
 const (
-	// PRED is the paper's protocol in avoidance flavour.
+	// PRED is the paper's protocol in avoidance flavour: dependencies on
+	// active processes are allowed only when the active process's
+	// potential completions provably cannot conflict (quasi-commit).
+	// No cascading aborts ever occur.
 	PRED Mode = iota
-	// PREDCascade additionally allows compensatable activities to depend
-	// on active backward-recoverable processes (the Figure 7 pattern).
+	// PREDCascade additionally allows compensatable activities to
+	// depend on active backward-recoverable processes (the Figure 7
+	// pattern); if such a predecessor aborts, dependents are
+	// cascade-aborted in reverse order (Lemma 2) and restarted. Only
+	// the sequential engine runs it.
 	PREDCascade
 	// Serial runs one process at a time (admission-level policy; every
 	// per-activity dispatch is allowed).
 	Serial
-	// Conservative admits only non-conflicting footprints (admission
-	// level; every per-activity dispatch is allowed).
+	// Conservative admits a process only when its full service
+	// footprint does not conflict with any running process
+	// (process-level conservative locking; every per-activity dispatch
+	// is allowed).
 	Conservative
-	// CCOnly orders conflicts for serializability but ignores recovery.
+	// CCOnly orders conflicting activities for serializability but
+	// ignores recovery entirely: no deferred commits, no Lemma-1
+	// blocking. Under failures it produces non-PRED schedules and can
+	// leave inconsistencies (Section 2.2's motivating anomaly).
 	CCOnly
 )
+
+// String returns the mode name.
+func (m Mode) String() string {
+	switch m {
+	case PRED:
+		return "pred"
+	case PREDCascade:
+		return "pred-cascade"
+	case Serial:
+		return "serial"
+	case Conservative:
+		return "conservative"
+	case CCOnly:
+		return "cc-only"
+	default:
+		return "unknown"
+	}
+}
 
 // Config parameterizes the decision rules.
 type Config struct {
@@ -69,27 +103,30 @@ const (
 	Done
 )
 
-// View supplies the per-process dynamic facts the pure decisions need.
-// Implementations are engine-specific; all methods must be cheap and
-// must tolerate ids the engine no longer tracks (report them Done).
-type View interface {
-	// Procs lists the admitted processes (any phase), in admission
-	// order — decision iteration order follows it.
-	Procs() []process.ID
-	// Phase returns the lifecycle phase; Done for unknown ids.
-	Phase(id process.ID) Phase
+// Proc is one admitted process in the policy's table: the per-process
+// facts the decisions read. Engines embed it in their own per-process
+// struct, register it with Admit and keep it current under the same
+// serial section that calls the decisions.
+type Proc struct {
+	ID process.ID
 	// Arrival is the admission rank used for age-priority tie breaks.
-	Arrival(id process.ID) int
-	// Instance returns the process's instance for potential-service-set
-	// queries; nil for unknown ids.
-	Instance(id process.ID) *process.Instance
-	// RecoverySteps returns the queued completion steps of the process
-	// (compensations and forward invocations not yet executed).
-	RecoverySteps(id process.ID) []process.Step
-	// InFlight lists the services of the process's in-flight
-	// invocations (issued, completion pending).
-	InFlight(id process.ID) []string
+	Arrival int
+	// Inst is the process's instance (potential-service-set queries).
+	Inst  *process.Instance
+	Phase Phase
+	// Recovery holds the queued completion steps (compensations and
+	// forward invocations not yet executed), head first.
+	Recovery []process.Step
+	// InFlight maps the in-flight frontier invocations (issued,
+	// completion pending): local -> service.
+	InFlight map[int]string
+	// StepSvc is the service of the in-flight recovery step; "" when
+	// none is in flight.
+	StepSvc string
 }
+
+// StepBusy reports whether a recovery step of p is in flight.
+func (p *Proc) StepBusy() bool { return p.StepSvc != "" }
 
 // Event is one effective event in the observed history, used both for
 // conflict-graph maintenance and to build the final observed schedule.
@@ -137,6 +174,11 @@ type State struct {
 	events []*Event
 	edges  map[[2]process.ID]int
 
+	// procs is the process table in admission order (terminated
+	// processes included); byID indexes it.
+	procs []*Proc
+	byID  map[process.ID]*Proc
+
 	// forced-graph cache, invalidated whenever effective events, edges,
 	// recovery queues or process states change (Bump).
 	version     int64
@@ -166,6 +208,7 @@ func newState(u *Universe, cfg Config) *State {
 		cfg:         cfg,
 		u:           u,
 		edges:       make(map[[2]process.ID]int),
+		byID:        make(map[process.ID]*Proc),
 		predScratch: make(map[process.ID]bool),
 	}
 }
@@ -180,9 +223,36 @@ func (s *State) Universe() *Universe { return s.u }
 func (s *State) Mode() Mode { return s.cfg.Mode }
 
 // Bump invalidates the forced-graph cache; engines call it whenever
-// View-visible state changes (admission, dispatch, completion, phase
-// transitions).
+// they change a Proc in place (dispatch, completion, recovery queue).
 func (s *State) Bump() { s.version++ }
+
+// Admit appends p to the process table. The id must be fresh: restart
+// incarnations carry derived ids.
+func (s *State) Admit(p *Proc) {
+	s.procs = append(s.procs, p)
+	s.byID[p.ID] = p
+	s.Bump()
+}
+
+// Procs returns the process table in admission order; callers must not
+// mutate the returned slice.
+func (s *State) Procs() []*Proc { return s.procs }
+
+// phase is the lifecycle phase of id; Done for ids never admitted.
+func (s *State) phase(id process.ID) Phase {
+	if p := s.byID[id]; p != nil {
+		return p.Phase
+	}
+	return Done
+}
+
+// arrival is the admission rank of id; 0 for ids never admitted.
+func (s *State) arrival(id process.ID) int {
+	if p := s.byID[id]; p != nil {
+		return p.Arrival
+	}
+	return 0
+}
 
 // Conflicts is the interned front end to the conflict table.
 func (s *State) Conflicts(a, b string) bool {

@@ -38,7 +38,6 @@ import (
 type Scenario struct {
 	Seed  int64
 	Class string
-	Mode  scheduler.Mode
 	// Plan arms the first server incarnation's crash (the injected
 	// kill -9); the WAL-budget field is applied via Config.WrapLog.
 	Plan fault.Plan
@@ -93,11 +92,8 @@ const serveClasses = 10
 func ScenarioFor(seed int64) Scenario {
 	rng := rand.New(rand.NewSource(seed*2862933555777941757 + 3037000493))
 	sc := Scenario{
-		Seed: seed, Mode: scheduler.PRED, RetryIndex: -1,
+		Seed: seed, RetryIndex: -1,
 		Procs: 10, Tenants: 1 + int(seed%3),
-	}
-	if seed%3 == 0 {
-		sc.Mode = scheduler.PREDCascade
 	}
 	if seed%2 == 1 {
 		sc.GroupCommit = wal.GroupCommit{MaxBatch: 2 + rng.Intn(8)}
@@ -252,7 +248,7 @@ func serveWorldFrom(sc Scenario, p workload.Profile) (*subsystem.Federation, []S
 // scenarioConfig builds the server config of one incarnation.
 func scenarioConfig(sc Scenario, dir string, plan fault.Plan, walBudget int, hold bool) Config {
 	cfg := Config{
-		Dir: dir, Mode: sc.Mode, NoSync: true,
+		Dir: dir, NoSync: true,
 		Tick:            sc.Tick,
 		CheckpointEvery: sc.CheckpointEvery, CompactOnCheckpoint: sc.CompactOnCheckpoint,
 		GroupCommit: sc.GroupCommit,

@@ -57,7 +57,6 @@ import (
 	"transproc/internal/process"
 	"transproc/internal/runtime"
 	"transproc/internal/scheduler"
-	"transproc/internal/scheduler/policy"
 	"transproc/internal/spec"
 	"transproc/internal/subsystem"
 	"transproc/internal/wal"
@@ -68,8 +67,6 @@ import (
 type Config struct {
 	// Dir is the data directory: wal.log + intake.journal.
 	Dir string
-	// Mode is the scheduling policy (default PRED).
-	Mode scheduler.Mode
 	// Workers caps concurrently admitted processes inside a batch
 	// (0 = unlimited).
 	Workers int
@@ -632,7 +629,6 @@ func (s *Server) execute(jobs []scheduler.Job) (map[process.ID]*scheduler.Outcom
 		return s.executeFed(jobs)
 	}
 	rt, err := runtime.New(s.fed, runtime.Config{
-		Mode:                s.cfg.Mode,
 		Log:                 s.view,
 		Workers:             s.cfg.Workers,
 		Tick:                s.cfg.Tick,
@@ -661,14 +657,10 @@ func (s *Server) executeFed(jobs []scheduler.Job) (map[process.ID]*scheduler.Out
 	for i, j := range jobs {
 		defs[i] = j.Proc
 	}
-	mode := policy.PRED
-	if s.cfg.Mode == scheduler.PREDCascade {
-		mode = policy.PREDCascade
-	}
 	var bmu sync.Mutex
 	var boundStamps []int64 // first re-stamped tail stamp per hub reopen
 	fcfg := federation.Config{
-		Nodes: s.cfg.FedNodes, Mode: mode, MaxRestarts: s.cfg.MaxRestarts, Metrics: s.reg,
+		Nodes: s.cfg.FedNodes, MaxRestarts: s.cfg.MaxRestarts, Metrics: s.reg,
 		LeaseTTL: s.cfg.FedLeaseTTL, HeartbeatEvery: s.cfg.FedHeartbeat,
 		OnHubDown: func() { s.hubDegraded.Store(true) },
 		OnHubUp:   func() { s.hubDegraded.Store(false) },

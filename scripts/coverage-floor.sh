@@ -11,6 +11,7 @@ FLOOR="${1:-75}"
 PKGS=(
   ./internal/wal
   ./internal/scheduler
+  ./internal/scheduler/policy:61.6
   ./internal/fault
   ./internal/chaos
   ./internal/twopc
